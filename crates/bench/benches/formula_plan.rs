@@ -1,10 +1,11 @@
-//! PR 3 companion: recursive evaluation vs compiled plans on
-//! repeated-formula workloads — the gfp fixpoint (where every iteration
-//! re-evaluates `E_S(φ ∧ X)`) and the optimality sweep (where the
-//! constructor evaluates the same decision formulas over and over).
+//! Compiled plans on repeated-formula workloads: the gfp fixpoint
+//! (where every iteration re-evaluates `E_S(φ ∧ X)`), timed against the
+//! test-only formula-iteration reference, and the optimality sweep
+//! (where the constructor evaluates the same decision formulas over and
+//! over).
 //!
-//! Both sides share one warm [`KnowledgeCache`] per scenario so
-//! reachability (identical on either path) is amortized away and the
+//! Every run shares one warm [`KnowledgeCache`] per scenario so
+//! reachability (identical on either gfp path) is amortized away and the
 //! measured delta is the evaluation pipeline itself: CSR knowledge
 //! kernels + word-level set algebra + native `GfpIter` iteration versus
 //! formula re-construction and recursive descent.
@@ -36,10 +37,8 @@ fn systems() -> Vec<(String, GeneratedSystem)> {
 
 /// A fresh evaluator per iteration (empty formula cache, so evaluation
 /// is actually performed) backed by a warm shared reachability cache.
-fn evaluator<'a>(system: &'a GeneratedSystem, cache: &KnowledgeCache, plan: bool) -> Evaluator<'a> {
-    let mut eval = Evaluator::with_cache(system, cache.clone());
-    eval.set_plan_mode(plan);
-    eval
+fn evaluator<'a>(system: &'a GeneratedSystem, cache: &KnowledgeCache) -> Evaluator<'a> {
+    Evaluator::with_cache(system, cache.clone())
 }
 
 fn gfp_fixpoint(c: &mut Criterion) {
@@ -49,19 +48,20 @@ fn gfp_fixpoint(c: &mut Criterion) {
         let cache = KnowledgeCache::new();
         // Warm the shared reachability cache once for both sides.
         fixpoint::continual_common_by_gfp(
-            &mut evaluator(&system, &cache, true),
+            &mut evaluator(&system, &cache),
             NonRigidSet::Nonfaulty,
             &phi,
         );
         for (mode, plan) in [("recursive", false), ("compiled", true)] {
             group.bench_with_input(BenchmarkId::new(mode, &label), &system, |b, system| {
                 b.iter(|| {
-                    let mut eval = evaluator(system, &cache, plan);
-                    black_box(fixpoint::continual_common_by_gfp(
-                        &mut eval,
-                        NonRigidSet::Nonfaulty,
-                        &phi,
-                    ));
+                    let mut eval = evaluator(system, &cache);
+                    let s = NonRigidSet::Nonfaulty;
+                    black_box(if plan {
+                        fixpoint::continual_common_by_gfp(&mut eval, s, &phi)
+                    } else {
+                        fixpoint::common_by_formula_iteration(&mut eval, s, &phi, true)
+                    });
                 });
             });
         }
@@ -74,17 +74,18 @@ fn optimality_sweep(c: &mut Criterion) {
     group.sample_size(10);
     for (label, system) in systems() {
         let cache = KnowledgeCache::new();
-        evaluator(&system, &cache, true)
+        evaluator(&system, &cache)
             .eval(&Formula::exists(Value::Zero).continual_common(NonRigidSet::Nonfaulty));
-        for (mode, plan) in [("recursive", false), ("compiled", true)] {
-            group.bench_with_input(BenchmarkId::new(mode, &label), &system, |b, system| {
+        group.bench_with_input(
+            BenchmarkId::new("compiled", &label),
+            &system,
+            |b, system| {
                 b.iter(|| {
                     let mut ctor = Constructor::with_cache(system, cache.clone());
-                    ctor.evaluator().set_plan_mode(plan);
                     black_box(ctor.optimize(&DecisionPair::empty(system.n())));
                 });
-            });
-        }
+            },
+        );
     }
     group.finish();
 }

@@ -14,7 +14,8 @@
 //! * **optimize / cold** — the full two-step optimality sweep from a
 //!   cold evaluator (the acceptance workload), where the batch prefetch
 //!   in `step_zero`/`step_one` folds the per-step `C□_{N∧A}` and `B^N_i`
-//!   set resolutions into one sweep each.
+//!   set resolutions into one sweep each (batched side only: the
+//!   constructor has no per-set mode).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eba_core::{Constructor, DecisionPair};
@@ -75,7 +76,6 @@ fn register(eval: &mut Evaluator<'_>, sets: &[NonRigidSet], batched: bool) {
     if batched {
         black_box(eval.reachability_batch(sets));
     } else {
-        eval.set_batch_mode(false);
         for &s in sets {
             black_box(eval.reachability(s));
         }
@@ -118,15 +118,12 @@ fn cold_optimality_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("reachability_batch_optimize");
     group.sample_size(10);
     for (label, system) in systems() {
-        for (mode, batched) in [("per-set", false), ("batched", true)] {
-            group.bench_with_input(BenchmarkId::new(mode, &label), &system, |b, system| {
-                b.iter(|| {
-                    let mut ctor = Constructor::new(system);
-                    ctor.evaluator().set_batch_mode(batched);
-                    black_box(ctor.optimize(&DecisionPair::empty(system.n())));
-                });
+        group.bench_with_input(BenchmarkId::new("batched", &label), &system, |b, system| {
+            b.iter(|| {
+                let mut ctor = Constructor::new(system);
+                black_box(ctor.optimize(&DecisionPair::empty(system.n())));
             });
-        }
+        });
     }
     group.finish();
 }

@@ -8,7 +8,7 @@
 use eba_core::{EngineSession, SessionScope};
 use eba_kripke::explain::Timeline;
 use eba_kripke::parse::parse_formula;
-use eba_kripke::{Evaluator, Formula, KnowledgeCache, SetReprKind};
+use eba_kripke::{Evaluator, Formula, KnowledgeCache};
 use eba_model::{
     BudgetHit, ExchangeKind, FailureMode, FailurePattern, FaultyBehavior, InitialConfig, ProcSet,
     ProcessorId, Round, RunBudget, Scenario, Time, Value,
@@ -61,25 +61,6 @@ OPTIONS:
                      resolved count on a `threads:` preamble line; an
                      explicit N never prints it, so output stays
                      byte-identical across explicit thread counts
-    --plan           evaluate via compiled plans: formulas are lowered to
-                     a deduplicated DAG of bitset kernels over the
-                     columnar point store (default)
-    --no-plan        evaluate with the recursive reference evaluator
-                     instead; results are bit-identical to --plan
-    --set-repr dense|shared
-                     set-representation backend of the knowledge cache
-                     (default dense). `dense` stores cached reachability
-                     and scope columns as word-block bitsets. `shared`
-                     interns them into a hash-consed node table so that
-                     near-identical sets (the common case across horizon
-                     sweeps and candidate families) share structure, and
-                     combines interned sets through a memoized apply
-                     cache. Verdicts, counterexamples, and fixpoint
-                     iteration counts are bit-identical across backends —
-                     the setrepr-equivalence CI job diffs them — only
-                     memory residency and the --cache-stats counters
-                     change. `shared` prints a `set-repr: shared`
-                     preamble line
     --shards K       split exhaustive generation into K shards (default:
                      4 per thread; the result is identical for any K)
     --deadline SECS  wall-clock budget for exhaustive generation; on
@@ -96,16 +77,10 @@ OPTIONS:
                      is bit-identical to independent cold runs of each
                      horizon. Exhaustive only: conflicts with --horizon,
                      --sampled, --timeline, and --deadline/--max-runs
-    --sweep-cold     with --horizon-sweep: rebuild every horizon from
-                     scratch instead of extending — the differential
-                     oracle for the incremental path; prints the same
-                     output (diagnostic `cache:`/`extend:` lines under
-                     --cache-stats excepted)
     --witness        also print a point where the formula holds
     --cache-stats    after the verdict, print knowledge-cache counters
                      (reachability and scope-column hits/misses, interned
-                     scope dedup; under --set-repr shared also node-table
-                     size, dedup ratio, and memo hits) on a `cache:`
+                     scope dedup, epoch, resident bytes) on a `cache:`
                      line, and the work-stealing pool counters (pool
                      runs, items, steals, last run's per-worker item
                      counts and busy spans) on a `scheduler:` line
@@ -159,7 +134,6 @@ struct Options {
     exchange: ExchangeKind,
     horizon: Option<u16>,
     horizon_sweep: Option<(u16, u16)>,
-    sweep_cold: bool,
     sampled: Option<(usize, u64)>,
     symmetry: bool,
     threads: Option<usize>,
@@ -171,8 +145,6 @@ struct Options {
     witness: bool,
     cache_stats: bool,
     quiet: bool,
-    plan: bool,
-    set_repr: SetReprKind,
     timeline: bool,
     config: Option<String>,
     pattern: Option<String>,
@@ -187,7 +159,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         exchange: ExchangeKind::FullInformation,
         horizon: None,
         horizon_sweep: None,
-        sweep_cold: false,
         sampled: None,
         symmetry: false,
         threads: None,
@@ -198,8 +169,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         witness: false,
         cache_stats: false,
         quiet: false,
-        plan: true,
-        set_repr: SetReprKind::Dense,
         timeline: false,
         config: None,
         pattern: None,
@@ -235,7 +204,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 options.horizon_sweep = Some((from, to));
             }
-            "--sweep-cold" => options.sweep_cold = true,
             "--exchange" => {
                 options.exchange =
                     ExchangeKind::parse(&take("--exchange")?).map_err(|e| e.to_string())?;
@@ -302,13 +270,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--witness" => options.witness = true,
             "--cache-stats" => options.cache_stats = true,
             "--quiet" => options.quiet = true,
-            "--plan" => options.plan = true,
-            "--no-plan" => options.plan = false,
-            "--set-repr" => {
-                let spec = take("--set-repr")?;
-                options.set_repr = SetReprKind::parse(&spec)
-                    .ok_or_else(|| format!("--set-repr needs dense|shared, got `{spec}`"))?;
-            }
             "--timeline" => options.timeline = true,
             "--config" => options.config = Some(take("--config")?),
             "--pattern" => options.pattern = Some(take("--pattern")?),
@@ -444,18 +405,18 @@ fn describe_point(system: &GeneratedSystem, run: eba_sim::RunId, time: Time) -> 
     )
 }
 
-/// Builds the exhaustive system honoring the thread/shard knobs (the
-/// unbudgeted path; sweeps reject budgets up front). The build is still
-/// governed by an interrupt-only budget so Ctrl-C stops it at the next
-/// shard checkpoint instead of being ignored until completion.
+/// Builds the exhaustive system under `budget`, honoring the
+/// thread/shard knobs. Every build carries at least the Ctrl-C flag, so
+/// an interrupt stops it at the next shard checkpoint instead of being
+/// ignored until completion.
 fn build_exhaustive(
     scenario: &Scenario,
     options: &Options,
     quotient: bool,
-    interrupt: &'static AtomicBool,
+    budget: RunBudget,
 ) -> Result<BuildOutcome, String> {
     let mut builder = SystemBuilder::new(scenario)
-        .budget(RunBudget::unlimited().with_interrupt(interrupt))
+        .budget(budget)
         .symmetry(quotient);
     if let Some(threads) = options.threads {
         builder = builder.threads(threads);
@@ -509,11 +470,7 @@ fn check_valid(
     options: &Options,
     cache: Option<KnowledgeCache>,
 ) -> bool {
-    let mut eval = match cache {
-        Some(cache) => Evaluator::with_cache(system, cache),
-        None => Evaluator::with_cache(system, KnowledgeCache::with_repr(options.set_repr)),
-    };
-    eval.set_plan_mode(options.plan);
+    let mut eval = Evaluator::with_cache(system, cache.unwrap_or_default());
     if let Some(threads) = options.threads {
         eval.set_threads(threads);
     }
@@ -560,11 +517,11 @@ fn print_sweep_preamble(system: &GeneratedSystem, options: &Options, formula: &F
     print_symmetry_line(system, options);
 }
 
-/// Checks one formula at every horizon `from..=to`, either out of one
-/// incremental [`EngineSession`] (the default) or via independent cold
-/// builds (`--sweep-cold`, the differential oracle). Both modes print
-/// identical per-horizon output — CI diffs them — except for the
-/// diagnostic `cache:`/`extend:` lines under `--cache-stats`.
+/// Checks one formula at every horizon `from..=to` out of one
+/// incremental [`EngineSession`]. Per-horizon output is identical to an
+/// independent `--horizon H` run of each horizon — CI diffs them —
+/// except for the diagnostic `cache:`/`extend:` lines under
+/// `--cache-stats`.
 fn run_sweep(
     options: &Options,
     from: u16,
@@ -577,57 +534,37 @@ fn run_sweep(
         .map_err(|e| e.to_string())?;
     let quotient = quotient_eligible(options, &formula);
     let mut all_valid = true;
-    if options.sweep_cold {
-        for h in from..=to {
-            if h > from && interrupt.load(Ordering::Relaxed) {
+    let budget = RunBudget::unlimited().with_interrupt(interrupt);
+    let base = match build_exhaustive(&base_scenario, options, quotient, budget)? {
+        BuildOutcome::Complete { system, .. } => system,
+        BuildOutcome::Partial { budget_hit, .. } => {
+            println!("PARTIAL: {budget_hit}; sweep stopped before horizon {from}");
+            return Ok(ExitCode::SUCCESS);
+        }
+    };
+    let mut session = EngineSession::from_system(base, SessionScope::FullSpace);
+    if let Some(threads) = options.threads {
+        session.set_threads(threads);
+    }
+    for h in from..=to {
+        if h > from {
+            if interrupt.load(Ordering::Relaxed) {
                 println!("PARTIAL: interrupted; sweep stopped before horizon {h}");
                 break;
             }
-            let scenario = base_scenario.with_horizon(h).map_err(|e| e.to_string())?;
-            let system = match build_exhaustive(&scenario, options, quotient, interrupt)? {
-                BuildOutcome::Complete { system, .. } => system,
-                BuildOutcome::Partial { budget_hit, .. } => {
-                    println!("PARTIAL: {budget_hit}; sweep stopped before horizon {h}");
-                    break;
-                }
-            };
-            println!("== horizon {h} ==");
-            print_sweep_preamble(&system, options, &formula);
-            all_valid &= check_valid(&system, &formula, options, None);
-        }
-    } else {
-        let base = match build_exhaustive(&base_scenario, options, quotient, interrupt)? {
-            BuildOutcome::Complete { system, .. } => system,
-            BuildOutcome::Partial { budget_hit, .. } => {
-                println!("PARTIAL: {budget_hit}; sweep stopped before horizon {from}");
-                return Ok(ExitCode::SUCCESS);
+            let report = session.extend_to(h).map_err(|e| e.to_string())?;
+            if options.cache_stats {
+                println!("extend: {report}");
             }
-        };
-        let mut session =
-            EngineSession::from_system_with_repr(base, SessionScope::FullSpace, options.set_repr);
-        if let Some(threads) = options.threads {
-            session.set_threads(threads);
         }
-        for h in from..=to {
-            if h > from {
-                if interrupt.load(Ordering::Relaxed) {
-                    println!("PARTIAL: interrupted; sweep stopped before horizon {h}");
-                    break;
-                }
-                let report = session.extend_to(h).map_err(|e| e.to_string())?;
-                if options.cache_stats {
-                    println!("extend: {report}");
-                }
-            }
-            println!("== horizon {h} ==");
-            print_sweep_preamble(session.system(), options, &formula);
-            all_valid &= check_valid(
-                session.system(),
-                &formula,
-                options,
-                Some(session.cache().clone()),
-            );
-        }
+        println!("== horizon {h} ==");
+        print_sweep_preamble(session.system(), options, &formula);
+        all_valid &= check_valid(
+            session.system(),
+            &formula,
+            options,
+            Some(session.cache().clone()),
+        );
     }
     Ok(if all_valid {
         ExitCode::SUCCESS
@@ -659,16 +596,6 @@ fn run() -> Result<ExitCode, String> {
             println!("threads: {threads} (auto)");
         }
     }
-    // Only the non-default backend prints, so dense output stays
-    // byte-identical to previous releases (and the setrepr-equivalence
-    // CI job diffs dense vs shared under --quiet, where neither prints).
-    if options.set_repr == SetReprKind::Shared && !options.quiet {
-        println!("set-repr: {}", options.set_repr);
-    }
-
-    if options.sweep_cold && options.horizon_sweep.is_none() {
-        return Err("--sweep-cold needs --horizon-sweep".into());
-    }
     if options.symmetry {
         // Knob validation before any heavy work, mirroring the builder's
         // own `check_symmetry_supported` but with CLI-level phrasing.
@@ -689,7 +616,7 @@ fn run() -> Result<ExitCode, String> {
     if let Some((from, to)) = options.horizon_sweep {
         // Gate before any heavy work, in the PR 2 knob-validation style:
         // the session-extension path is only certified for exchanges that
-        // support it (and --sweep-cold's contract is to mirror that path).
+        // support it.
         if !options.exchange.supports_session_extension() {
             return Err(format!(
                 "--horizon-sweep needs an exchange supporting session extension; \
@@ -777,16 +704,7 @@ fn run() -> Result<ExitCode, String> {
             if let Some(max_runs) = options.max_runs {
                 budget = budget.with_max_runs(max_runs);
             }
-            let mut builder = SystemBuilder::new(&scenario)
-                .budget(budget)
-                .symmetry(quotient);
-            if let Some(threads) = options.threads {
-                builder = builder.threads(threads);
-            }
-            if let Some(shards) = options.shards {
-                builder = builder.shards(shards);
-            }
-            match builder.build_governed().map_err(|e| e.to_string())? {
+            match build_exhaustive(&scenario, &options, quotient, budget)? {
                 BuildOutcome::Complete { system, .. } => system,
                 BuildOutcome::Partial {
                     system,
@@ -840,9 +758,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     if let Some((config, pattern)) = timeline_run {
-        let mut eval =
-            Evaluator::with_cache(&system, KnowledgeCache::with_repr(options.set_repr));
-        eval.set_plan_mode(options.plan);
+        let mut eval = Evaluator::new(&system);
         if let Some(threads) = options.threads {
             eval.set_threads(threads);
         }

@@ -204,17 +204,24 @@ fn multiple_formulas_require_timeline() {
 
 #[test]
 fn zero_knobs_exit_two_with_one_line_diagnostics() {
+    // Zero-valued knobs, and the removed evaluator-selection flags, which
+    // are now unknown options.
     for args in [
-        ["--threads", "0"],
-        ["--shards", "0"],
-        ["--max-runs", "0"],
-        ["--deadline", "0"],
+        &["--threads", "0"][..],
+        &["--shards", "0"],
+        &["--max-runs", "0"],
+        &["--deadline", "0"],
+        &["--plan"],
+        &["--no-plan"],
+        &["--set-repr", "dense"],
+        &["--horizon-sweep", "2..3", "--sweep-cold"],
     ] {
-        let (_, stderr, code) = run(&[args[0], args[1], "E0"]);
+        let (_, stderr, code) = run(&[args, &["E0"]].concat());
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         let diagnostic = stderr.lines().next().unwrap_or_default();
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
         assert!(
-            diagnostic.starts_with("error:") && diagnostic.contains(args[0]),
+            diagnostic.starts_with("error:") && diagnostic.contains(flag),
             "{args:?}: {stderr}"
         );
     }

@@ -19,10 +19,8 @@
 //! point.
 //!
 //! The constructor's formulas are evaluated through the compiled-plan
-//! engine of `eba_kripke::plan` (the evaluator default); pass-through
-//! access via [`Constructor::evaluator`] +
-//! [`Evaluator::set_plan_mode`] selects the recursive reference path,
-//! which produces bit-identical decision sets.
+//! engine of `eba_kripke::plan`, with each step's nonrigid sets resolved
+//! in one batched sweep.
 
 use crate::{DecisionPair, FipDecisions};
 use eba_kripke::{BatchBuilder, Evaluator, Formula, KnowledgeCache, NonRigidSet, StateSets};
@@ -141,12 +139,8 @@ impl<'a> Constructor<'a> {
     /// Resolves everything an optimization step will ask of the knowledge
     /// engine in one batched sweep: the `C□_S` closure needs `S`'s
     /// reachability components, and every `B^N_i` extraction needs `N`'s
-    /// scope columns. Skipped in recursive (oracle) mode, which stays on
-    /// the per-set path.
+    /// scope columns.
     fn prefetch_step_sets(&mut self, s: NonRigidSet) {
-        if !(self.eval.plan_mode() && self.eval.batch_mode()) {
-            return;
-        }
         let mut batch = BatchBuilder::new();
         batch.request_reachability(s);
         batch.request_scopes(NonRigidSet::Nonfaulty);
@@ -154,20 +148,14 @@ impl<'a> Constructor<'a> {
     }
 
     /// The decision sets `{ v : B^N_i ψ throughout v }` for every
-    /// processor. In batched plan mode this is the fused all-processor
-    /// extraction ([`Evaluator::views_believing`]: `ψ` evaluated once,
-    /// one bucket sweep per processor); in oracle modes it evaluates the
-    /// explicit `B^N_i ψ` formulas per processor, preserving the per-set
-    /// reference path the differential tests compare against.
+    /// processor, by the fused all-processor extraction
+    /// ([`Evaluator::views_believing`]: `ψ` evaluated once, one bucket
+    /// sweep per processor).
     fn views_believed(&mut self, psi: Formula) -> StateSets {
-        if self.eval.plan_mode() && self.eval.batch_mode() {
-            let mut sets = StateSets::empty(self.system().n());
-            self.eval
-                .views_believing(NonRigidSet::Nonfaulty, &psi, &mut sets);
-            sets
-        } else {
-            self.views_satisfying(|i| psi.clone().believed_by(i, NonRigidSet::Nonfaulty))
-        }
+        let mut sets = StateSets::empty(self.system().n());
+        self.eval
+            .views_believing(NonRigidSet::Nonfaulty, &psi, &mut sets);
+        sets
     }
 
     /// The two-step construction of Theorem 5.2:

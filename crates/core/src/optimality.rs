@@ -95,18 +95,13 @@ pub fn check_optimality(ctor: &mut Constructor<'_>, pair: &DecisionPair) -> Opti
             eval.register_state_sets(pair.one().clone()),
         )
     };
-    {
-        // Both C□ closures and every B^N_i below draw on three nonrigid
-        // sets; resolve them in one batched traversal instead of three.
-        let eval = ctor.evaluator();
-        if eval.plan_mode() && eval.batch_mode() {
-            let mut batch = BatchBuilder::new();
-            batch.request_reachability(NonRigidSet::NonfaultyAnd(o_id));
-            batch.request_reachability(NonRigidSet::NonfaultyAnd(z_id));
-            batch.request_scopes(NonRigidSet::Nonfaulty);
-            batch.run(eval);
-        }
-    }
+    // Both C□ closures and every B^N_i below draw on three nonrigid
+    // sets; resolve them in one batched traversal instead of three.
+    let mut batch = BatchBuilder::new();
+    batch.request_reachability(NonRigidSet::NonfaultyAnd(o_id));
+    batch.request_reachability(NonRigidSet::NonfaultyAnd(z_id));
+    batch.request_scopes(NonRigidSet::Nonfaulty);
+    batch.run(ctor.evaluator());
     let c0 = Formula::exists(Value::Zero).continual_common(NonRigidSet::NonfaultyAnd(o_id));
     let c1 = Formula::exists(Value::One).continual_common(NonRigidSet::NonfaultyAnd(z_id));
 

@@ -153,8 +153,6 @@ pub struct Evaluator<'a> {
     family_closed_memo: FastMap<u32, bool>,
     pub(crate) shared: KnowledgeCache,
     pub(crate) chaos: Arc<dyn FaultInjector>,
-    plan_mode: bool,
-    batch_mode: bool,
 }
 
 impl<'a> Evaluator<'a> {
@@ -191,39 +189,7 @@ impl<'a> Evaluator<'a> {
             family_closed_memo: FastMap::default(),
             shared: cache,
             chaos: Arc::new(NoChaos),
-            plan_mode: true,
-            batch_mode: true,
         }
-    }
-
-    /// Switches between the compiled-plan evaluation pipeline (the
-    /// default) and the recursive reference evaluator. Both produce
-    /// bit-identical results; the recursive path is kept as the oracle
-    /// for differential testing and debugging.
-    pub fn set_plan_mode(&mut self, enabled: bool) {
-        self.plan_mode = enabled;
-    }
-
-    /// Whether formulas are evaluated through compiled plans (see
-    /// [`FormulaPlan`]).
-    #[must_use]
-    pub fn plan_mode(&self) -> bool {
-        self.plan_mode
-    }
-
-    /// Switches batched reachability (the default) on or off. When on,
-    /// plan execution prefetches every nonrigid set a plan needs through
-    /// one [`crate::reach::BatchBuilder`] sweep; when off, each set is
-    /// resolved on demand by the per-set path. Both are bit-identical;
-    /// the per-set path is kept as the differential-test oracle.
-    pub fn set_batch_mode(&mut self, enabled: bool) {
-        self.batch_mode = enabled;
-    }
-
-    /// Whether plan execution batch-prefetches reachability structures.
-    #[must_use]
-    pub fn batch_mode(&self) -> bool {
-        self.batch_mode
     }
 
     /// Sets the number of worker threads used to collect reachability
@@ -417,23 +383,25 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates a formula, returning the set of points satisfying it.
     ///
-    /// In plan mode (the default) the formula is lowered to a
-    /// [`FormulaPlan`] — a deduplicated DAG of dense-bitset kernels —
-    /// and executed over the system's columnar [`eba_sim::PointStore`];
-    /// otherwise the recursive reference evaluator runs. Both paths
-    /// produce bit-identical bitsets and share the same per-subformula
-    /// memo, so they can be mixed freely on one evaluator.
+    /// The formula is lowered to a [`FormulaPlan`] — a deduplicated DAG
+    /// of dense-bitset kernels — whose nonrigid sets are resolved in one
+    /// batched sweep, and executed over the system's columnar
+    /// [`eba_sim::PointStore`].
     pub fn eval(&mut self, formula: &Formula) -> Arc<Bitset> {
         if let Some(cached) = self.cache.get(formula) {
             return Arc::clone(cached);
         }
-        if self.plan_mode {
-            let plan = FormulaPlan::compile(formula);
-            return self.eval_plan(&plan);
-        }
-        let result = Arc::new(self.compute(formula));
-        self.cache.insert(formula.clone(), Arc::clone(&result));
-        result
+        self.eval_plan(&FormulaPlan::compile(formula))
+    }
+
+    /// Evaluates a formula with the recursive reference evaluator, a
+    /// per-point transcription of the semantics kept for differential
+    /// tests against [`Evaluator::eval`]; production code never calls
+    /// it. Subformulas are memoized for this call only and never enter
+    /// the memo [`Evaluator::eval`] serves, so neither path can answer
+    /// for the other.
+    pub fn eval_reference(&mut self, formula: &Formula) -> Bitset {
+        Arc::unwrap_or_clone(self.reference(formula, &mut FastMap::default()))
     }
 
     /// Executes a compiled plan, returning the extension of its root.
@@ -687,130 +655,98 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    fn compute(&mut self, formula: &Formula) -> Bitset {
-        match formula {
-            Formula::True => Bitset::new_true(self.num_points),
-            Formula::False => Bitset::new_false(self.num_points),
-            Formula::Exists(v) => {
-                self.broadcast_run_level(|r| self.system.run(r).config.exists(*v))
-            }
-            Formula::Initial(p, v) => {
-                self.broadcast_run_level(|r| self.system.run(r).config.value(*p) == *v)
-            }
-            Formula::Nonfaulty(p) => {
-                self.broadcast_run_level(|r| self.system.nonfaulty(r).contains(*p))
-            }
-            Formula::StateIn(p, id) => {
-                let sets = &self.state_sets[id.0 as usize];
-                let mut out = Bitset::new_false(self.num_points);
-                for run in self.system.run_ids() {
-                    for time in Time::upto(self.system.horizon()) {
-                        if sets.contains(*p, self.system.view(run, *p, time)) {
-                            out.set(self.point_index(run, time), true);
-                        }
-                    }
-                }
-                out
-            }
-            Formula::RunPred(id) => {
-                let pred = self.run_preds[id.0 as usize].clone();
-                self.broadcast_run_level(|r| pred[r.index()])
-            }
-            Formula::PointPred(id) => (*self.point_preds[id.0 as usize]).clone(),
+    fn reference(
+        &mut self,
+        formula: &Formula,
+        memo: &mut FastMap<Formula, Arc<Bitset>>,
+    ) -> Arc<Bitset> {
+        if let Some(hit) = memo.get(formula) {
+            return Arc::clone(hit);
+        }
+        let out = match formula {
             Formula::Not(inner) => {
-                let mut out = (*self.eval(inner)).clone();
+                let mut out = (*self.reference(inner, memo)).clone();
                 out.invert();
                 out
             }
             Formula::And(fs) => {
                 let mut out = Bitset::new_true(self.num_points);
                 for f in fs {
-                    out &= &self.eval(f);
+                    out &= &self.reference(f, memo);
                 }
                 out
             }
             Formula::Or(fs) => {
                 let mut out = Bitset::new_false(self.num_points);
                 for f in fs {
-                    out |= &self.eval(f);
+                    out |= &self.reference(f, memo);
                 }
                 out
             }
             Formula::Knows(p, inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 self.knowledge_like(*p, &phi, None)
             }
             Formula::Believes(p, s, inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 self.knowledge_like(*p, &phi, Some(*s))
             }
-            Formula::Everyone(s, inner) => {
-                let believes: Vec<Bitset> = (0..self.n)
-                    .map(|i| {
-                        let phi = self.eval(inner);
-                        self.knowledge_like(ProcessorId::new(i), &phi, Some(*s))
-                    })
+            Formula::Everyone(s, inner) | Formula::Someone(s, inner) => {
+                let phi = self.reference(inner, memo);
+                let believes: Vec<Bitset> = ProcessorId::all(self.n)
+                    .map(|i| self.knowledge_like(i, &phi, Some(*s)))
                     .collect();
-                let mut out = Bitset::new_true(self.num_points);
-                for run in self.system.run_ids() {
-                    for time in Time::upto(self.system.horizon()) {
-                        let idx = self.point_index(run, time);
-                        let members = self.members(*s, run, time);
-                        let ok = members.iter().all(|i| believes[i.index()].get(idx));
-                        out.set(idx, ok);
-                    }
-                }
-                out
-            }
-            Formula::Someone(s, inner) => {
-                let believes: Vec<Bitset> = (0..self.n)
-                    .map(|i| {
-                        let phi = self.eval(inner);
-                        self.knowledge_like(ProcessorId::new(i), &phi, Some(*s))
-                    })
-                    .collect();
+                let everyone = matches!(formula, Formula::Everyone(..));
                 let mut out = Bitset::new_false(self.num_points);
                 for run in self.system.run_ids() {
                     for time in Time::upto(self.system.horizon()) {
                         let idx = self.point_index(run, time);
-                        let members = self.members(*s, run, time);
-                        let ok = members.iter().any(|i| believes[i.index()].get(idx));
+                        let mut members = self.members(*s, run, time).iter();
+                        let ok = if everyone {
+                            members.all(|i| believes[i.index()].get(idx))
+                        } else {
+                            members.any(|i| believes[i.index()].get(idx))
+                        };
                         out.set(idx, ok);
                     }
                 }
                 out
             }
             Formula::Distributed(s, inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 self.distributed_knowledge(*s, &phi)
             }
             Formula::Common(s, inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 let reach = self.reachability(*s);
                 self.common_from_reach(&phi, &reach)
             }
             Formula::ContinualCommon(s, inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 let reach = self.reachability(*s);
                 self.continual_common_from_reach(&phi, &reach)
             }
             Formula::Always(inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 self.always_of(&phi)
             }
             Formula::Eventually(inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 self.eventually_of(&phi)
             }
             Formula::AlwaysAll(inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 self.always_all_of(&phi)
             }
             Formula::SometimeAll(inner) => {
-                let phi = self.eval(inner);
+                let phi = self.reference(inner, memo);
                 self.sometime_all_of(&phi)
             }
-        }
+            leaf => self.compute_leaf(leaf),
+        };
+        let out = Arc::new(out);
+        memo.insert(formula.clone(), Arc::clone(&out));
+        out
     }
 
     /// `C_S φ` from a reachability structure: φ holds throughout the
@@ -918,28 +854,44 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates a leaf formula (no subformulas) directly; the plan's
-    /// `Load` kernel.
+    /// `Load` kernel, shared with the reference evaluator.
     ///
     /// # Panics
     ///
     /// Panics if called on a non-leaf formula — the plan compiler only
     /// emits `Load` for leaves.
-    pub(crate) fn compute_leaf(&mut self, formula: &Formula) -> Bitset {
-        debug_assert!(
-            matches!(
-                formula,
-                Formula::True
-                    | Formula::False
-                    | Formula::Exists(_)
-                    | Formula::Initial(..)
-                    | Formula::Nonfaulty(_)
-                    | Formula::StateIn(..)
-                    | Formula::RunPred(_)
-                    | Formula::PointPred(_)
-            ),
-            "Load kernel applied to a non-leaf formula"
-        );
-        self.compute(formula)
+    pub(crate) fn compute_leaf(&self, formula: &Formula) -> Bitset {
+        match formula {
+            Formula::True => Bitset::new_true(self.num_points),
+            Formula::False => Bitset::new_false(self.num_points),
+            Formula::Exists(v) => {
+                self.broadcast_run_level(|r| self.system.run(r).config.exists(*v))
+            }
+            Formula::Initial(p, v) => {
+                self.broadcast_run_level(|r| self.system.run(r).config.value(*p) == *v)
+            }
+            Formula::Nonfaulty(p) => {
+                self.broadcast_run_level(|r| self.system.nonfaulty(r).contains(*p))
+            }
+            Formula::StateIn(p, id) => {
+                let sets = &self.state_sets[id.0 as usize];
+                let mut out = Bitset::new_false(self.num_points);
+                for run in self.system.run_ids() {
+                    for time in Time::upto(self.system.horizon()) {
+                        if sets.contains(*p, self.system.view(run, *p, time)) {
+                            out.set(self.point_index(run, time), true);
+                        }
+                    }
+                }
+                out
+            }
+            Formula::RunPred(id) => {
+                let pred = &self.run_preds[id.0 as usize];
+                self.broadcast_run_level(|r| pred[r.index()])
+            }
+            Formula::PointPred(id) => (*self.point_preds[id.0 as usize]).clone(),
+            other => unreachable!("Load kernel applied to the non-leaf formula {other}"),
+        }
     }
 
     /// The view-orbit classes of a quotiented system, or `None` on an
@@ -1249,22 +1201,7 @@ impl<'a> Evaluator<'a> {
                 NonRigidSet::Everyone => ReachSel::Everyone,
                 NonRigidSet::Nonfaulty => ReachSel::Nonfaulty,
                 NonRigidSet::NonfaultyAnd(id) => {
-                    let families = self.state_sets[id.0 as usize].canonical();
-                    match self.shared.node_table() {
-                        // Shared backend: the registered family's
-                        // membership words live (deduplicated) in the
-                        // node table and the key carries only roots —
-                        // content equality is root equality because the
-                        // key can only ever meet the cache whose table
-                        // issued the roots.
-                        Some(table) => {
-                            let mut table = table.lock().expect("node table poisoned");
-                            ReachSel::SharedFamily(
-                                families.iter().map(|w| table.intern_words(w)).collect(),
-                            )
-                        }
-                        None => ReachSel::NonfaultyAnd(families),
-                    }
+                    ReachSel::NonfaultyAnd(self.state_sets[id.0 as usize].canonical())
                 }
             },
         }));

@@ -1,4 +1,4 @@
-//! Reference fixed-point implementations of `C_S` and `C□_S`, used for
+//! Fixed-point implementations of `C_S` and `C□_S`, used for
 //! differential testing of the union-find reachability engine.
 //!
 //! The paper defines `C_S φ` as the infinite conjunction `⋀_k E_S^k φ`,
@@ -11,40 +11,13 @@
 //! Corollary 3.3); the `gfp_agrees_with_reachability` tests and the
 //! property suite check the two agree bit-for-bit.
 //!
-//! The iteration itself always runs on the dense word representation,
-//! regardless of the session's [`crate::SetReprKind`]: the shared
-//! node-table backend is a storage/interning layer behind the
-//! [`crate::KnowledgeCache`], and gfp intermediates are deliberately
-//! never interned so the fixpoint path stays an independent oracle (see
-//! `crate::plan`). Iteration counts are therefore identical across
-//! backends by construction.
+//! The iteration runs as the compiled plan's native `GfpIter` loop
+//! ([`crate::plan`]). [`common_by_formula_iteration`] keeps the
+//! by-the-book loop over formulas as the test-only reference for it.
 
 use crate::bitset::Bitset;
 use crate::{Evaluator, Formula, NonRigidSet};
-use eba_model::{ArmedBudget, BudgetHit, ModelError, RunBudget, Time};
-use std::fmt;
-use std::sync::Arc;
-
-/// Why a governed fixpoint iteration stopped before converging.
-#[derive(Clone, Debug)]
-pub enum GfpInterrupt {
-    /// The budget ran out mid-iteration (wall-clock deadline).
-    Budget(BudgetHit),
-    /// The evaluator could not intern another intermediate predicate
-    /// (point-predicate id space exhausted).
-    Model(ModelError),
-}
-
-impl fmt::Display for GfpInterrupt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GfpInterrupt::Budget(hit) => write!(f, "fixpoint iteration stopped: {hit}"),
-            GfpInterrupt::Model(e) => write!(f, "fixpoint iteration failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for GfpInterrupt {}
+use eba_model::{ArmedBudget, BudgetHit, RunBudget, Time};
 
 /// Computes `C_S φ` by greatest-fixed-point iteration of
 /// `X ← E_S(φ ∧ X)`, starting from `True`.
@@ -52,7 +25,13 @@ impl std::error::Error for GfpInterrupt {}
 /// Returns the satisfaction bitset and the number of iterations needed
 /// (including the final confirming pass).
 pub fn common_by_gfp(eval: &mut Evaluator<'_>, s: NonRigidSet, phi: &Formula) -> (Bitset, usize) {
-    unlimited(gfp(eval, phi, s, false, &RunBudget::unlimited().arm()))
+    unlimited(crate::plan::gfp(
+        eval,
+        s,
+        phi,
+        false,
+        &RunBudget::unlimited().arm(),
+    ))
 }
 
 /// Computes `C□_S φ` by greatest-fixed-point iteration of
@@ -62,24 +41,28 @@ pub fn continual_common_by_gfp(
     s: NonRigidSet,
     phi: &Formula,
 ) -> (Bitset, usize) {
-    unlimited(gfp(eval, phi, s, true, &RunBudget::unlimited().arm()))
+    unlimited(crate::plan::gfp(
+        eval,
+        s,
+        phi,
+        true,
+        &RunBudget::unlimited().arm(),
+    ))
 }
 
 /// [`common_by_gfp`] under a budget: the deadline is checked once per
-/// iteration, and intermediate-predicate interning surfaces typed
-/// capacity errors instead of aborting.
+/// iteration.
 ///
 /// # Errors
 ///
-/// Returns [`GfpInterrupt::Budget`] when the budget ran out and
-/// [`GfpInterrupt::Model`] when the evaluator's id space overflowed.
+/// Returns the [`BudgetHit`] when the budget ran out mid-iteration.
 pub fn common_by_gfp_governed(
     eval: &mut Evaluator<'_>,
     s: NonRigidSet,
     phi: &Formula,
     budget: &ArmedBudget,
-) -> Result<(Bitset, usize), GfpInterrupt> {
-    gfp(eval, phi, s, false, budget)
+) -> Result<(Bitset, usize), BudgetHit> {
+    crate::plan::gfp(eval, s, phi, false, budget)
 }
 
 /// [`continual_common_by_gfp`] under a budget; see
@@ -87,71 +70,57 @@ pub fn common_by_gfp_governed(
 ///
 /// # Errors
 ///
-/// Returns [`GfpInterrupt::Budget`] when the budget ran out and
-/// [`GfpInterrupt::Model`] when the evaluator's id space overflowed.
+/// Returns the [`BudgetHit`] when the budget ran out mid-iteration.
 pub fn continual_common_by_gfp_governed(
     eval: &mut Evaluator<'_>,
     s: NonRigidSet,
     phi: &Formula,
     budget: &ArmedBudget,
-) -> Result<(Bitset, usize), GfpInterrupt> {
-    gfp(eval, phi, s, true, budget)
+) -> Result<(Bitset, usize), BudgetHit> {
+    crate::plan::gfp(eval, s, phi, true, budget)
 }
 
-/// Unwraps a governed result produced under an unlimited budget, where
-/// interruption is impossible in practice (a budget never fires; id
-/// exhaustion needs 2³² iterations).
-fn unlimited(result: Result<(Bitset, usize), GfpInterrupt>) -> (Bitset, usize) {
+/// Unwraps a governed result produced under an unlimited budget, which
+/// never fires.
+fn unlimited(result: Result<(Bitset, usize), BudgetHit>) -> (Bitset, usize) {
     match result {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Iterates `X ← E_S(φ ∧ X)` (boxed: `X ← □̄ E_S(φ ∧ X)`) from `X = True`
-/// until stable, checking the budget's deadline cooperatively at each
-/// iteration.
+/// The reference for [`common_by_gfp`] (`continual = false`) and
+/// [`continual_common_by_gfp`] (`continual = true`): iterates
+/// `X ← E_S(φ ∧ X)` (continual: `X ← □̄ E_S(φ ∧ X)`) from `X = True`
+/// until stable, as formulas. Each iterate is registered as a point
+/// predicate and the next one is computed by
+/// [`Evaluator::eval_reference`], so no step goes through a compiled
+/// plan. Test-only; returns the same result and iteration count as the
+/// production loop.
 ///
-/// In plan mode (the evaluator default) the loop runs as the compiled
-/// `GfpIter` kernel — a native bitset iteration over the columnar point
-/// store that never constructs intermediate formulas (see
-/// [`crate::plan`]); with batch mode on, the iteration's scope columns
-/// and every nonrigid set of `φ`'s plan are resolved up front by one
-/// [`crate::reach::BatchBuilder`] sweep. Otherwise the intermediate `X`
-/// is injected into
-/// formulas as a registered point predicate, so each iteration is a
-/// single evaluator pass; the evaluator cache is still effective for the
-/// `φ` sub-evaluation. Both paths perform the same iteration sequence
-/// and return bit-identical results and iteration counts.
-fn gfp(
+/// # Panics
+///
+/// Panics when the evaluator's point-predicate id space is exhausted.
+pub fn common_by_formula_iteration(
     eval: &mut Evaluator<'_>,
-    phi: &Formula,
     s: NonRigidSet,
-    boxed: bool,
-    budget: &ArmedBudget,
-) -> Result<(Bitset, usize), GfpInterrupt> {
-    if eval.plan_mode() {
-        return crate::plan::gfp(eval, s, phi, boxed, budget);
-    }
-    let step = |inner: Formula| {
-        if boxed {
-            inner.everyone_box(s)
-        } else {
-            inner.everyone(s)
-        }
-    };
+    phi: &Formula,
+    continual: bool,
+) -> (Bitset, usize) {
     let mut current = Bitset::new_true(eval.num_points());
     let mut iterations = 0;
     loop {
-        budget.check_deadline().map_err(GfpInterrupt::Budget)?;
         iterations += 1;
-        let x_id = eval
-            .try_register_point_pred(current.clone())
-            .map_err(GfpInterrupt::Model)?;
-        let formula = step(phi.clone().and(Formula::PointPred(x_id)));
-        let next = Arc::unwrap_or_clone(eval.eval(&formula));
+        let x = Formula::PointPred(eval.register_point_pred(current.clone()));
+        let step = phi.clone().and(x);
+        let step = if continual {
+            step.everyone_box(s)
+        } else {
+            step.everyone(s)
+        };
+        let next = eval.eval_reference(&step);
         if next == current {
-            return Ok((current, iterations));
+            return (current, iterations);
         }
         current = next;
     }
@@ -305,7 +274,7 @@ mod tests {
         let err =
             common_by_gfp_governed(&mut eval, NonRigidSet::Nonfaulty, &phi, &budget).unwrap_err();
         match err {
-            GfpInterrupt::Budget(eba_model::BudgetHit::Deadline { .. }) => {}
+            eba_model::BudgetHit::Deadline { .. } => {}
             other => panic!("expected a deadline hit, got {other}"),
         }
     }

@@ -10,8 +10,8 @@
 //!   exact set of points of a [`eba_sim::GeneratedSystem`] satisfying it;
 //! * [`FormulaPlan`] ([`plan`]) — formulas compiled to a deduplicated DAG
 //!   of dense-bitset kernels over the columnar [`eba_sim::PointStore`];
-//!   the evaluator's default engine, with the recursive walk kept as a
-//!   reference oracle ([`Evaluator::set_plan_mode`]);
+//!   the evaluator's only production engine, with the recursive walk
+//!   kept as a test-only reference ([`Evaluator::eval_reference`]);
 //! * [`StateSets`] / [`NonRigidSet`] — decision-set families and the
 //!   nonrigid sets `N`, `N ∧ A` they induce;
 //! * [`axioms`] — checkers for the S5 properties of `K_i`
@@ -61,11 +61,9 @@ pub mod fixpoint;
 pub mod parse;
 pub mod plan;
 pub mod reach;
-pub mod setrepr;
 
 pub use bitset::Bitset;
-pub use cache::{CacheStats, KnowledgeCache, ScopeColumns};
-pub use setrepr::{SetReprKind, SetReprStats};
+pub use cache::{CacheStats, KnowledgeCache, ScopeColumns, SetReprKind};
 pub use eval::{Evaluator, Reachability};
 pub use formula::Formula;
 pub use nonrigid::{NonRigidSet, PointPredId, RunPredId, StateSets, StateSetsId, ViewSet};

@@ -20,21 +20,21 @@
 //! 3. **Fixpoints** run as the [`Kernel::GfpIter`] loop: `X ← E_S(φ ∧ X)`
 //!    iterated natively on bitsets, with no per-iteration formula
 //!    construction, hashing, or point-predicate registration. This is
-//!    what [`crate::fixpoint`] uses in plan mode.
+//!    what [`crate::fixpoint`] runs.
 //!
 //! Every kernel is implemented to be extensionally *identical* to the
-//! recursive evaluator — same bits, not just same truth values — and the
-//! `Bitset` representation is canonical, so equality is bit-identity.
-//! The differential suite in `tests/plan_equivalence.rs` enforces this on
-//! random formulas; the recursive path remains available via
-//! [`Evaluator::set_plan_mode`](crate::Evaluator::set_plan_mode) as the
-//! reference oracle.
+//! recursive reference evaluator
+//! ([`Evaluator::eval_reference`](crate::Evaluator::eval_reference)) —
+//! same bits, not just same truth values — and the `Bitset`
+//! representation is canonical, so equality is bit-identity. The
+//! differential suite in `tests/plan_equivalence.rs` enforces this on
+//! random formulas.
 //!
 //! Plan results are recorded in the evaluator's formula-keyed memo for
 //! the nodes worth remembering — leaves, knowledge/reachability closures,
-//! temporal folds, and the root — so mixing plan and recursive evaluation
-//! on one evaluator is safe and cache-coherent. Interior `Not`/`And`/`Or`
-//! nodes are *not* memoized: their kernels are a handful of word ops,
+//! temporal folds, and the root — so re-evaluating a formula, or a
+//! larger formula sharing its subformulas, reuses them. Interior
+//! `Not`/`And`/`Or` nodes are *not* memoized: their kernels are a handful of word ops,
 //! cheaper than hashing their (large) formulas as cache keys. The other
 //! exception is `GfpIter`: its result provably equals `C_S φ` / `C□_S φ`,
 //! but caching it under that key would let the fixpoint result mask the
@@ -43,13 +43,11 @@
 
 use crate::bitset::Bitset;
 use crate::eval::Evaluator;
-use crate::fixpoint::GfpInterrupt;
 use crate::formula::Formula;
 use crate::nonrigid::NonRigidSet;
-use crate::setrepr::{NodeOp, NodeTable, SharedWords};
 use eba_model::fasthash::FastMap;
-use eba_model::{ArmedBudget, ProcessorId, RunBudget};
-use std::sync::{Arc, Mutex};
+use eba_model::{ArmedBudget, BudgetHit, ProcessorId, RunBudget};
+use std::sync::Arc;
 
 /// Which knowledge closure a [`Kernel::KnowClose`] computes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -329,105 +327,33 @@ impl FormulaPlan {
 }
 
 /// Executes a plan on an evaluator, serving and filling the evaluator's
-/// formula-keyed memo per node; returns the root's extension.
-///
-/// Under the shared set-representation backend every node result is
-/// additionally interned into the cache's [`NodeTable`] — near-identical
-/// results across plans and evaluations collapse into shared structure —
-/// and `And`/`Or` nodes whose operands are already interned are combined
-/// through the memoized [`NodeTable::apply`] instead of re-interned word
-/// by word. Interning never replaces the dense computation (results stay
-/// bit-identical by construction); gfp nodes are exempt for the same
-/// reason they skip the formula memo.
+/// formula-keyed memo per node; returns the root's extension. Every
+/// nonrigid set the plan needs is resolved first, in one
+/// [`crate::reach::BatchBuilder`] sweep.
 pub(crate) fn execute(eval: &mut Evaluator<'_>, plan: &FormulaPlan) -> Arc<Bitset> {
-    if eval.batch_mode() {
-        let mut batch = crate::reach::BatchBuilder::new();
-        collect_plan_sets(plan, &mut batch);
-        if !batch.is_empty() {
-            batch.run(eval);
-        }
+    let mut batch = crate::reach::BatchBuilder::new();
+    collect_plan_sets(plan, &mut batch);
+    if !batch.is_empty() {
+        batch.run(eval);
     }
-    let table = eval.shared.node_table().cloned();
     let mut results: Vec<Option<Arc<Bitset>>> = vec![None; plan.kernels.len()];
-    let mut roots: Vec<Option<SharedWords>> = vec![None; plan.kernels.len()];
     for i in 0..plan.kernels.len() {
         if let Some(f) = &plan.formulas[i] {
             if let Some(cached) = eval.cache.get(f) {
-                let arc = Arc::clone(cached);
-                if let Some(table) = &table {
-                    roots[i] = intern_plan_node(table, &plan.kernels[i], &roots, &arc);
-                }
-                results[i] = Some(arc);
+                results[i] = Some(Arc::clone(cached));
                 continue;
             }
         }
-        let bits = run_kernel(eval, plan, i, &results);
-        let arc = Arc::new(bits);
-        if let Some(table) = &table {
-            roots[i] = intern_plan_node(table, &plan.kernels[i], &roots, &arc);
-        }
+        let bits = Arc::new(run_kernel(eval, plan, i, &results));
         if let Some(f) = &plan.formulas[i] {
-            eval.cache.insert(f.clone(), Arc::clone(&arc));
+            eval.cache.insert(f.clone(), Arc::clone(&bits));
         }
-        results[i] = Some(arc);
+        results[i] = Some(bits);
     }
     results
         .pop()
         .flatten()
         .expect("compiled plans have at least one kernel")
-}
-
-/// Interns one plan node's dense result into the shared node table,
-/// going through the memoized native combiner when every operand of an
-/// `And`/`Or` node is already interned. The returned handle always
-/// equals what interning the dense words produces (asserted in debug
-/// builds): padding is closed under the ops and consing is canonical.
-fn intern_plan_node(
-    table: &Arc<Mutex<NodeTable>>,
-    kernel: &Kernel,
-    roots: &[Option<SharedWords>],
-    bits: &Bitset,
-) -> Option<SharedWords> {
-    let mut table = table.lock().expect("node table poisoned");
-    let fold = |table: &mut NodeTable, op: NodeOp, ids: &[u32]| -> SharedWords {
-        let mut acc = roots[ids[0] as usize].expect("caller checked every operand is interned");
-        for id in &ids[1..] {
-            let rhs = roots[*id as usize].expect("caller checked every operand is interned");
-            acc = table.apply(op, acc, rhs);
-        }
-        acc
-    };
-    let interned = match kernel {
-        // Never interned, for the same reason gfp results are never
-        // memoized: a canonical handle equal to the reachability-based
-        // closure's would let one path mask the other in differential
-        // tests.
-        Kernel::GfpIter { .. } => return None,
-        Kernel::And(ids)
-            if !ids.is_empty() && ids.iter().all(|id| roots[*id as usize].is_some()) =>
-        {
-            let native = fold(&mut table, NodeOp::And, ids);
-            debug_assert_eq!(
-                native,
-                table.intern_words(bits.words()),
-                "native And must equal interning the dense result"
-            );
-            native
-        }
-        Kernel::Or(ids)
-            if !ids.is_empty() && ids.iter().all(|id| roots[*id as usize].is_some()) =>
-        {
-            let native = fold(&mut table, NodeOp::Or, ids);
-            debug_assert_eq!(
-                native,
-                table.intern_words(bits.words()),
-                "native Or must equal interning the dense result"
-            );
-            native
-        }
-        _ => table.intern_words(bits.words()),
-    };
-    Some(interned)
 }
 
 /// Scans a plan's kernels for every nonrigid set they will resolve —
@@ -534,8 +460,8 @@ fn run_kernel(
     }
 }
 
-/// `C_S φ` / `C□_S φ` by native gfp iteration; the plan-mode engine
-/// behind [`crate::fixpoint`]'s public entry points.
+/// `C_S φ` / `C□_S φ` by native gfp iteration; the engine behind
+/// [`crate::fixpoint`]'s public entry points.
 ///
 /// Returns the satisfaction bitset and the iteration count (including
 /// the final confirming pass) — identical to the formula-iteration
@@ -543,25 +469,21 @@ fn run_kernel(
 ///
 /// # Errors
 ///
-/// Returns [`GfpInterrupt::Budget`] when the budget's deadline fires;
-/// unlike the formula loop, the native loop interns nothing, so
-/// [`GfpInterrupt::Model`] is never produced.
+/// Returns the [`BudgetHit`] when the budget's deadline fires.
 pub(crate) fn gfp(
     eval: &mut Evaluator<'_>,
     s: NonRigidSet,
     phi: &Formula,
     boxed: bool,
     budget: &ArmedBudget,
-) -> Result<(Bitset, usize), GfpInterrupt> {
+) -> Result<(Bitset, usize), BudgetHit> {
     // One batched sweep covers both the iteration's own scope columns
     // and every set `φ`'s plan will resolve.
     let plan = FormulaPlan::compile(phi);
-    if eval.batch_mode() {
-        let mut batch = crate::reach::BatchBuilder::new();
-        batch.request_scopes(s);
-        collect_plan_sets(&plan, &mut batch);
-        batch.run(eval);
-    }
+    let mut batch = crate::reach::BatchBuilder::new();
+    batch.request_scopes(s);
+    collect_plan_sets(&plan, &mut batch);
+    batch.run(eval);
     let phi_bits = eval.eval_plan(&plan);
     gfp_over(eval, s, &phi_bits, boxed, budget)
 }
@@ -572,13 +494,13 @@ fn gfp_over(
     phi_bits: &Bitset,
     boxed: bool,
     budget: &ArmedBudget,
-) -> Result<(Bitset, usize), GfpInterrupt> {
+) -> Result<(Bitset, usize), BudgetHit> {
     let scopes = eval.scope_columns(s);
     let classes = eval.classes();
     let mut current = Bitset::new_true(eval.num_points);
     let mut iterations = 0;
     loop {
-        budget.check_deadline().map_err(GfpInterrupt::Budget)?;
+        budget.check_deadline()?;
         iterations += 1;
         let mut conj = phi_bits.clone();
         conj &= &current;
@@ -780,15 +702,13 @@ mod tests {
         let system = crash_system();
         let mut compiled = Evaluator::new(&system);
         let mut oracle = Evaluator::new(&system);
-        oracle.set_plan_mode(false);
-        assert!(compiled.plan_mode() && !oracle.plan_mode());
         let formulas = sample_formulas(&mut compiled);
         // The same registrations in the same order, so ids line up.
         let _ = sample_formulas(&mut oracle);
         for f in formulas {
             let via_plan = compiled.eval(&f);
-            let via_rec = oracle.eval(&f);
-            assert_eq!(*via_plan, *via_rec, "plan and oracle disagree on {f}");
+            let via_rec = oracle.eval_reference(&f);
+            assert_eq!(*via_plan, via_rec, "plan and oracle disagree on {f}");
         }
     }
 

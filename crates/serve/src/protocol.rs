@@ -22,7 +22,6 @@
 //! single-threaded oracle.
 
 use crate::json::Json;
-use eba_kripke::SetReprKind;
 use eba_model::{ExchangeKind, FailureMode, Scenario};
 use std::fmt;
 
@@ -69,13 +68,6 @@ pub struct ScenarioSpec {
     /// orbit-canonical view classes. Part of the pool key, so quotiented
     /// and unreduced sessions for the same scenario never alias.
     pub symmetry: bool,
-    /// Set-representation backend of the session's knowledge cache
-    /// (frame field `set_repr`, `"dense"` default or `"shared"`). Part
-    /// of the pool key: the backend shapes the cache's residency
-    /// accounting and statistics, so dense and shared sessions for the
-    /// same scenario never alias. Query results are bit-identical across
-    /// backends.
-    pub set_repr: SetReprKind,
 }
 
 impl ScenarioSpec {
@@ -288,12 +280,6 @@ fn parse_spec(frame: &Json) -> Result<ScenarioSpec, ServeError> {
             ));
         }
     };
-    let set_repr = match field_str(frame, "set_repr")? {
-        None => SetReprKind::Dense,
-        Some(spec) => SetReprKind::parse(spec).ok_or_else(|| {
-            ServeError::BadRequest(format!("field `set_repr` must be dense|shared, got `{spec}`"))
-        })?,
-    };
     let symmetry = field_bool(frame, "symmetry")?;
     if symmetry {
         if sampled.is_some() {
@@ -316,7 +302,6 @@ fn parse_spec(frame: &Json) -> Result<ScenarioSpec, ServeError> {
         horizon,
         sampled,
         symmetry,
-        set_repr,
     })
 }
 
@@ -451,6 +436,16 @@ mod tests {
         assert_eq!(check.max_runs, Some(50));
         assert!(check.witness);
         assert!(check.spec.scenario().is_ok());
+
+        // Unknown fields are ignored. `set_repr` named a storage backend
+        // that no longer exists; a frame still carrying it parses and
+        // answers exactly like the frame without it.
+        let plain = r#"{"op":"check","formula":"CC(E0) -> C(E0)","mode":"omission","horizon":2}"#;
+        let legacy = plain.replace('}', r#","set_repr":"shared"}"#);
+        let plain = Request::from_line(plain).unwrap();
+        let legacy = Request::from_line(&legacy).unwrap();
+        assert_eq!(plain, legacy);
+        assert_eq!(crate::oracle(&plain), crate::oracle(&legacy));
     }
 
     #[test]
@@ -519,5 +514,102 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(digest_symmetry.kind(), "bad-request");
+    }
+
+    /// Frame fragments for the parser fuzz: JSON punctuation, every
+    /// field name the parser knows, values of every JSON type (including
+    /// out-of-range and ill-typed ones), and raw bytes.
+    const FRAGMENTS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "\"op\"",
+        "\"check\"",
+        "\"optimize\"",
+        "\"sweep\"",
+        "\"evict\"",
+        "\"stats\"",
+        "\"ping\"",
+        "\"formula\"",
+        "\"CC(E0) -> C(E0)\"",
+        "\"n\"",
+        "\"t\"",
+        "\"mode\"",
+        "\"omission\"",
+        "\"exchange\"",
+        "\"digest:64\"",
+        "\"horizon\"",
+        "\"sampled\"",
+        "\"symmetry\"",
+        "\"from\"",
+        "\"to\"",
+        "\"shards\"",
+        "\"deadline_ms\"",
+        "\"max_runs\"",
+        "\"witness\"",
+        "\"set_repr\"",
+        "0",
+        "1",
+        "-1",
+        "65536",
+        "9223372036854775807",
+        "1e999",
+        "-0.5",
+        "true",
+        "false",
+        "null",
+        "\"\\u0000\"",
+        "\"\\ud800\"",
+        " ",
+        "\n",
+        "\u{fffd}",
+        "\u{1f600}",
+    ];
+
+    /// Builds a frame from `len` seeded draws: a fragment, or a raw byte
+    /// (decoded lossily, as a line read off the wire would be).
+    fn fuzz_line(seed: u64, len: usize) -> String {
+        let mut bytes = Vec::new();
+        let mut x = seed;
+        for _ in 0..len {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            match (z % (FRAGMENTS.len() as u64 + 8)) as usize {
+                i if i < FRAGMENTS.len() => bytes.extend_from_slice(FRAGMENTS[i].as_bytes()),
+                _ => bytes.push((z >> 32) as u8),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// No byte string panics the frame parser: it yields a request
+        /// or one of the two parse-time error kinds.
+        #[test]
+        fn arbitrary_lines_parse_or_fail_typed(
+            seed in proptest::num::u64::ANY,
+            len in 0usize..48,
+            wrap in proptest::bool::ANY,
+        ) {
+            let body = fuzz_line(seed, len);
+            let line = if wrap { format!("{{\"op\":{body}}}") } else { body };
+            if let Err(e) = Request::from_line(&line) {
+                proptest::prop_assert!(
+                    matches!(e.kind(), "bad-frame" | "bad-request"),
+                    "{:?} -> {}",
+                    line,
+                    e
+                );
+            }
+        }
     }
 }

@@ -229,24 +229,33 @@ fn stale_knowledge_artifacts_never_survive_an_extension() {
     drop(eval);
     assert!(!session.cache().is_empty(), "base evaluation must cache");
 
-    session.extend_to(3).unwrap();
-    let stats = session.cache().stats();
-    assert_eq!(stats.epoch, 1);
-    assert!(stats.invalidated > 0, "epoch advance must purge entries");
+    // Two extensions, so the second epoch purges what the first one's
+    // evaluation cached.
+    for (epoch, horizon) in [(1, 3), (2, 4)] {
+        let invalidated = session.cache().stats().invalidated;
+        session.extend_to(horizon).unwrap();
+        let stats = session.cache().stats();
+        assert_eq!(stats.epoch, epoch);
+        assert!(
+            stats.invalidated > invalidated,
+            "epoch advance must purge entries"
+        );
+        assert_eq!(stats.resident_bytes, 0, "the purge must be eager");
 
-    // Post-extension evaluation is sized to the new system and equal to a
-    // cold evaluator's result.
-    let mut warm_eval = session.evaluator();
-    let (warm_sat, warm_iters) =
-        fixpoint::common_by_gfp(&mut warm_eval, NonRigidSet::Nonfaulty, &phi);
-    assert_eq!(warm_sat.len(), session.system().num_points());
+        // Post-extension evaluation is sized to the new system and equal
+        // to a cold evaluator's result.
+        let mut warm_eval = session.evaluator();
+        let (warm_sat, warm_iters) =
+            fixpoint::common_by_gfp(&mut warm_eval, NonRigidSet::Nonfaulty, &phi);
+        assert_eq!(warm_sat.len(), session.system().num_points());
 
-    let cold_system = GeneratedSystem::exhaustive(&scenario.with_horizon(3).unwrap());
-    let mut cold_eval = Evaluator::new(&cold_system);
-    let (cold_sat, cold_iters) =
-        fixpoint::common_by_gfp(&mut cold_eval, NonRigidSet::Nonfaulty, &phi);
-    assert_eq!(warm_sat.count_ones(), cold_sat.count_ones());
-    assert_eq!(warm_iters, cold_iters);
+        let cold_system = GeneratedSystem::exhaustive(&scenario.with_horizon(horizon).unwrap());
+        let mut cold_eval = Evaluator::new(&cold_system);
+        let (cold_sat, cold_iters) =
+            fixpoint::common_by_gfp(&mut cold_eval, NonRigidSet::Nonfaulty, &phi);
+        assert_eq!(warm_sat.count_ones(), cold_sat.count_ones());
+        assert_eq!(warm_iters, cold_iters);
+    }
 }
 
 #[test]

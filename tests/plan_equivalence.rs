@@ -1,13 +1,17 @@
 //! Differential suite for the compiled evaluation plans: on random
 //! formulas and across scenario spaces, the plan pipeline (CSR knowledge
-//! kernels, word-level `E_S`/`S_S`, native gfp iteration) must produce
-//! **bit-identical** extensions to the recursive reference evaluator —
-//! including on chaos-supervised reachability and on budget-partial
-//! systems.
+//! kernels, word-level `E_S`/`S_S`, native gfp iteration, batched
+//! reachability) must produce **bit-identical** extensions to the
+//! recursive reference evaluator (`Evaluator::eval_reference`) and the
+//! per-set reachability path — including on chaos-supervised
+//! reachability and on budget-partial systems. The references are
+//! reached only through their own entry points, never through a plan.
 
 use eba::prelude::*;
 use eba_kripke::{fixpoint, BatchBuilder, Reachability};
+use eba_sim::ViewId;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 fn crash_system() -> &'static GeneratedSystem {
@@ -22,6 +26,14 @@ fn omission_system() -> &'static GeneratedSystem {
     static SYSTEM: OnceLock<GeneratedSystem> = OnceLock::new();
     SYSTEM.get_or_init(|| {
         let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
+        GeneratedSystem::exhaustive(&scenario)
+    })
+}
+
+fn general_omission_system() -> &'static GeneratedSystem {
+    static SYSTEM: OnceLock<GeneratedSystem> = OnceLock::new();
+    SYSTEM.get_or_init(|| {
+        let scenario = Scenario::new(3, 1, FailureMode::GeneralOmission, 2).unwrap();
         GeneratedSystem::exhaustive(&scenario)
     })
 }
@@ -77,23 +89,31 @@ fn formula_strategy() -> impl Strategy<Value = Formula> {
     })
 }
 
-/// Evaluates `phi` twice over `system` — compiled plan vs recursive
-/// oracle — and asserts the extensions are bit-identical.
+/// Evaluates `phi` over `system` — compiled plan vs recursive oracle —
+/// and asserts the extensions are bit-identical. The plan side runs
+/// twice: cold, and again from a fresh evaluator over the first one's
+/// warm knowledge cache, so cached reachability and scope columns are
+/// checked too.
 fn assert_plan_matches_oracle(
     system: &GeneratedSystem,
     phi: &Formula,
     label: &str,
 ) -> Result<(), TestCaseError> {
     let mut compiled = Evaluator::new(system);
-    let mut oracle = Evaluator::new(system);
-    oracle.set_plan_mode(false);
-    prop_assert!(compiled.plan_mode(), "plan mode must be the default");
     let via_plan = compiled.eval(phi);
-    let via_rec = oracle.eval(phi);
+    let via_rec = Evaluator::new(system).eval_reference(phi);
     prop_assert_eq!(
         &*via_plan,
-        &*via_rec,
+        &via_rec,
         "compiled plan and recursive oracle disagree on {} over {}",
+        phi,
+        label
+    );
+    let mut rewarmed = Evaluator::with_cache(system, compiled.knowledge_cache().clone());
+    prop_assert_eq!(
+        &*rewarmed.eval(phi),
+        &via_rec,
+        "a warm knowledge cache changed the extension of {} over {}",
         phi,
         label
     );
@@ -104,46 +124,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Core differential property: on random formulas, plan extensions
-    /// equal the recursive evaluator's on exhaustive crash and omission
-    /// systems and on a sampled scenario space.
+    /// equal the recursive evaluator's on exhaustive crash, omission, and
+    /// general-omission systems and on a sampled scenario space.
     #[test]
     fn plan_matches_recursive_oracle(
         phi in formula_strategy(),
-        which in 0usize..3,
+        which in 0usize..4,
     ) {
         let (system, label) = match which {
             0 => (crash_system(), "crash (exhaustive)"),
             1 => (omission_system(), "omission (exhaustive)"),
+            2 => (general_omission_system(), "general-omission (exhaustive)"),
             _ => (sampled_system(), "crash (sampled)"),
         };
         assert_plan_matches_oracle(system, &phi, label)?;
     }
 
-    /// The native `GfpIter` loop (plan mode) matches the formula-iteration
-    /// loop (recursive mode) in result *and* iteration count, for both
-    /// `C_S` and `C□_S`.
+    /// The native `GfpIter` loop matches the formula-iteration reference
+    /// loop in result *and* iteration count, for both `C_S` and `C□_S`.
     #[test]
     fn gfp_kernel_matches_formula_iteration(
         phi in formula_strategy(),
-        crash in proptest::bool::ANY,
+        which in 0usize..3,
         continual in proptest::bool::ANY,
     ) {
-        let system = if crash { crash_system() } else { omission_system() };
+        let system = match which {
+            0 => crash_system(),
+            1 => omission_system(),
+            _ => general_omission_system(),
+        };
         let mut plan_eval = Evaluator::new(system);
         let mut rec_eval = Evaluator::new(system);
-        rec_eval.set_plan_mode(false);
         let s = NonRigidSet::Nonfaulty;
-        let ((a, ia), (b, ib)) = if continual {
-            (
-                fixpoint::continual_common_by_gfp(&mut plan_eval, s, &phi),
-                fixpoint::continual_common_by_gfp(&mut rec_eval, s, &phi),
-            )
+        let (a, ia) = if continual {
+            fixpoint::continual_common_by_gfp(&mut plan_eval, s, &phi)
         } else {
-            (
-                fixpoint::common_by_gfp(&mut plan_eval, s, &phi),
-                fixpoint::common_by_gfp(&mut rec_eval, s, &phi),
-            )
+            fixpoint::common_by_gfp(&mut plan_eval, s, &phi)
         };
+        let (b, ib) = fixpoint::common_by_formula_iteration(&mut rec_eval, s, &phi, continual);
         prop_assert_eq!(&a, &b, "gfp engines disagree on {}", &phi);
         prop_assert_eq!(ia, ib, "gfp iteration counts diverge on {}", &phi);
     }
@@ -215,7 +233,9 @@ proptest! {
     /// Batched reachability differential: random nonrigid-set families
     /// resolved by one `BatchBuilder` sweep produce components, run
     /// projections, *and* scope columns bit-identical to the per-set
-    /// path's, across the three scenario spaces.
+    /// path's, across the three scenario spaces; and formulas scoped by
+    /// the registered families evaluate identically through the plan
+    /// and through the reference evaluator.
     #[test]
     fn batched_reachability_matches_per_set_path(
         seed in proptest::num::u64::ANY,
@@ -229,7 +249,6 @@ proptest! {
         };
         let mut batched = Evaluator::new(system);
         let mut per_set = Evaluator::new(system);
-        per_set.set_batch_mode(false);
         let fam_a = random_family(system, seed, keep_mod);
         let fam_b = random_family(system, seed ^ 0xABCD, keep_mod);
         let a = batched.register_state_sets(fam_a.clone());
@@ -261,8 +280,22 @@ proptest! {
                 label
             );
         }
+        let phi = Formula::exists(Value::Zero);
+        let s = NonRigidSet::NonfaultyAnd(a);
+        for formula in [
+            phi.clone().common(s),
+            phi.clone().continual_common(s),
+            phi.clone().believed_by(ProcessorId::new(1), s).eventually(),
+        ] {
+            prop_assert_eq!(
+                &*batched.eval(&formula),
+                &per_set.eval_reference(&formula),
+                "registered-family formula {} diverges over {}",
+                &formula,
+                label
+            );
+        }
     }
-
 }
 
 /// Scope-column interning: nonrigid sets with *distinct* content keys but
@@ -303,7 +336,6 @@ fn batched_reachability_matches_per_set_under_chaos() {
     let system = GeneratedSystem::exhaustive(&scenario);
 
     let mut per_set = Evaluator::new(&system);
-    per_set.set_batch_mode(false);
     per_set.set_threads(1);
 
     let chaos =
@@ -342,7 +374,6 @@ fn batched_reachability_matches_per_set_on_budget_partial_system() {
 
     let mut batched = Evaluator::new(&system);
     let mut per_set = Evaluator::new(&system);
-    per_set.set_batch_mode(false);
     let fam = random_family(&system, 0xEBA, 2);
     let a = batched.register_state_sets(fam.clone());
     assert_eq!(a, per_set.register_state_sets(fam));
@@ -363,23 +394,66 @@ fn batched_reachability_matches_per_set_on_budget_partial_system() {
     }
 }
 
-/// The optimization pipeline must produce the *same decision sets* either
-/// way: `optimize` under plans equals `optimize` under the recursive
-/// evaluator, down to the per-view decision tables.
+/// For every processor `i`, the views at which the reference evaluator
+/// finds `B^N_i ψ` at every point where `i` has that view — Prop 5.1's
+/// decision sets read off explicit per-processor belief formulas.
+fn reference_views_believed(eval: &mut Evaluator<'_>, psi: &Formula) -> StateSets {
+    let system = eval.system();
+    let mut sets = StateSets::empty(system.n());
+    for i in ProcessorId::all(system.n()) {
+        let holds = eval.eval_reference(&psi.clone().believed_by(i, NonRigidSet::Nonfaulty));
+        let mut qualifies: HashMap<ViewId, bool> = HashMap::new();
+        for idx in 0..eval.num_points() {
+            let (run, time) = eval.point_of(idx);
+            *qualifies.entry(system.view(run, i, time)).or_insert(true) &= holds.get(idx);
+        }
+        for (v, ok) in qualifies {
+            if ok {
+                sets.insert(i, v);
+            }
+        }
+    }
+    sets
+}
+
+/// Theorem 5.2's two steps through the reference evaluator only: first
+/// `Z′_i = B^N_i(∃0 ∧ C□_{N∧O} ∃0)` (the second step reads only `Z′`),
+/// then `Z″_i = B^N_i(∃0 ∧ ¬C□_{N∧Z′} ∃1)`, `O″_i = B^N_i(∃1 ∧ C□_{N∧Z′} ∃1)`.
+fn reference_optimize(system: &GeneratedSystem, base: &DecisionPair) -> DecisionPair {
+    let mut eval = Evaluator::new(system);
+    let o = eval.register_state_sets(base.one().clone());
+    let c0 = Formula::exists(Value::Zero).continual_common(NonRigidSet::NonfaultyAnd(o));
+    let zero = reference_views_believed(&mut eval, &Formula::exists(Value::Zero).and(c0));
+    let z = eval.register_state_sets(zero);
+    let c1 = Formula::exists(Value::One).continual_common(NonRigidSet::NonfaultyAnd(z));
+    let zero = reference_views_believed(
+        &mut eval,
+        &Formula::exists(Value::Zero).and(c1.clone().not()),
+    );
+    let one = reference_views_believed(&mut eval, &Formula::exists(Value::One).and(c1));
+    DecisionPair::new(zero, one)
+}
+
+/// The optimization pipeline (fused decision-set extraction, batched
+/// prefetch) must produce the *same decision sets* as the Prop 5.1
+/// formulas evaluated by the reference evaluator, down to the per-run
+/// decision vectors, on crash and omission systems; and the result must
+/// pass the Theorem 5.3 optimality check.
 #[test]
 fn construction_decision_vectors_agree() {
-    let system = crash_system();
-    let bases = [
-        DecisionPair::empty(3),
-        eba_core::protocols::crash_rule(&mut Constructor::new(system)),
+    let crash = crash_system();
+    let cases = [
+        (crash, DecisionPair::empty(3)),
+        (
+            crash,
+            eba_core::protocols::crash_rule(&mut Constructor::new(crash)),
+        ),
+        (omission_system(), DecisionPair::empty(3)),
     ];
-    for base in bases {
+    for (system, base) in cases {
         let mut plan_ctor = Constructor::new(system);
-        assert!(plan_ctor.evaluator().plan_mode());
-        let mut rec_ctor = Constructor::new(system);
-        rec_ctor.evaluator().set_plan_mode(false);
         let optimized_plan = plan_ctor.optimize(&base);
-        let optimized_rec = rec_ctor.optimize(&base);
+        let optimized_rec = reference_optimize(system, &base);
         assert_eq!(
             optimized_plan, optimized_rec,
             "optimized decision pairs diverge between plan and recursive evaluation"
@@ -394,11 +468,15 @@ fn construction_decision_vectors_agree() {
                 assert_eq!(a, b, "decision of {i} in run {} diverges", r.index());
             }
         }
+        assert!(
+            check_optimality(&mut plan_ctor, &optimized_plan).is_optimal(),
+            "Theorem 5.2's construction must pass the Theorem 5.3 check"
+        );
     }
 }
 
 /// Chaos supervision must stay invisible to the plan pipeline: with a
-/// fault injected into a reachability worker, plan-mode evaluation still
+/// fault injected into a reachability worker, plan evaluation still
 /// matches a fault-free recursive oracle bit for bit.
 #[test]
 fn plan_matches_oracle_under_chaos_supervision() {
@@ -415,9 +493,8 @@ fn plan_matches_oracle_under_chaos_supervision() {
         .or(phi.common(NonRigidSet::Everyone).not());
 
     let mut oracle = Evaluator::new(&system);
-    oracle.set_plan_mode(false);
     oracle.set_threads(1);
-    let want = oracle.eval(&formula);
+    let want = oracle.eval_reference(&formula);
 
     let chaos =
         Arc::new(ChaosPlan::new().with_fault(FaultSite::ReachabilityWorker, 0, FaultKind::Panic));
@@ -426,7 +503,7 @@ fn plan_matches_oracle_under_chaos_supervision() {
     chaotic.set_chaos(Arc::clone(&chaos) as Arc<dyn FaultInjector>);
     let got = chaotic.eval(&formula);
     assert_eq!(chaos.fired(), 1, "the planned worker panic must have fired");
-    assert_eq!(*got, *want, "chaos recovery changed a plan-mode extension");
+    assert_eq!(*got, want, "chaos recovery changed a plan extension");
 }
 
 /// Budget-partial systems (prefix of shards) still build their point
@@ -459,10 +536,9 @@ fn plan_matches_oracle_on_budget_partial_system() {
     ] {
         let mut compiled = Evaluator::new(&system);
         let mut oracle = Evaluator::new(&system);
-        oracle.set_plan_mode(false);
         assert_eq!(
             *compiled.eval(&formula),
-            *oracle.eval(&formula),
+            oracle.eval_reference(&formula),
             "partial-system extensions diverge on {formula}"
         );
     }

@@ -2,6 +2,7 @@
 //! its optimization `F*`, and the Lemma A.10/A.11 simplifications.
 
 use eba::prelude::*;
+use eba_core::chains::exists_zero_star;
 use eba_core::protocols::{f_star, f_star_direct, zero_chain_pair};
 
 fn omission_system(n: usize, t: usize, horizon: u16) -> GeneratedSystem {
@@ -33,6 +34,63 @@ fn lemma_a10_a11_step_is_identity_on_chain_protocol() {
         same_nonfaulty_decisions(&system, &d_base, &d_stepped),
         "step_zero changed the chain protocol's decisions"
     );
+}
+
+/// The decision sets `Z_i = B^N_i ∃0*` and `O_i = B^N_i ¬∃0*` of
+/// `FIP(Z⁰, O⁰)` as Section 6.2 prints them, over the time-indexed `∃0*`
+/// ("a 0-chain of length `≤ m` exists at time `m`"), built next to the
+/// run-closed reading of [`zero_chain_pair`].
+fn literal_zero_chain_sets(ctor: &mut Constructor<'_>) -> (StateSets, StateSets) {
+    let star = {
+        let eval = ctor.evaluator();
+        let bits = exists_zero_star(eval);
+        Formula::PointPred(eval.register_point_pred(bits))
+    };
+    let zero = ctor.views_satisfying(|i| star.clone().believed_by(i, NonRigidSet::Nonfaulty));
+    let one = ctor.views_satisfying(|i| star.clone().not().believed_by(i, NonRigidSet::Nonfaulty));
+    (zero, one)
+}
+
+/// **Reproduction finding 2**, negative half: `FIP(Z⁰, O⁰)` needs the
+/// run-closed reading of `∃0*`. No 0-chain exists at time 0, so under
+/// the literal pair `¬∃0*` is believed there and processors decide 1 at
+/// time 0 in runs that start with a 0, breaking validity. With the
+/// literal `Z_i = B^N_i ∃0*` (beside the run-closed `O⁰`), a processor
+/// that has only received a chain prefix cannot decide 0 yet, so some
+/// nonfaulty processor decides after Proposition 6.4's bound of `f + 1`.
+#[test]
+fn zero_chain_protocol_fails_under_the_literal_reading() {
+    let system = omission_system(4, 1, 3);
+    let mut ctor = Constructor::new(&system);
+    let closed = zero_chain_pair(&mut ctor);
+    let (literal_zero, literal_one) = literal_zero_chain_sets(&mut ctor);
+
+    let literal = DecisionPair::new(literal_zero.clone(), literal_one);
+    let d = FipDecisions::compute(&system, &literal, "FIP(B^N ∃0*, B^N ¬∃0*)");
+    let early_one = system.run_ids().any(|run| {
+        system.run(run).config.exists(Value::Zero)
+            && system.nonfaulty(run).iter().any(|p| {
+                d.decision(run, p)
+                    .is_some_and(|dec| dec.value == Value::One && dec.time.ticks() == 0)
+            })
+    });
+    assert!(
+        early_one,
+        "the literal pair must decide 1 at time 0 in a run with a 0"
+    );
+    let report = verify_properties(&system, &d);
+    assert!(!report.validity_violations.is_empty(), "{report}");
+
+    let literal_z = DecisionPair::new(literal_zero, closed.one().clone());
+    let d = FipDecisions::compute(&system, &literal_z, "FIP(B^N ∃0*, O⁰)");
+    let late = system.run_ids().any(|run| {
+        let f = system.run(run).pattern.num_faulty() as u16;
+        system
+            .nonfaulty(run)
+            .iter()
+            .any(|p| d.decision_time(run, p).is_some_and(|t| t.ticks() > f + 1))
+    });
+    assert!(late, "the literal Z⁰ must miss the f + 1 bound somewhere");
 }
 
 /// **Reproduction finding** (see `f_star_direct`'s docs): the literal

@@ -1,17 +1,18 @@
-//! Differential suite for the set-representation backends: on random
-//! formulas and across scenario spaces, the shared (hash-consed
-//! node-table) backend must produce **bit-identical** results to the
-//! dense word-block backend — extensions, decisions, optimality
-//! verdicts, and gfp iteration counts — including on symmetry-quotiented
-//! systems, chaos-disturbed builds, budget-partial systems, and across
-//! horizon extensions of one incremental session.
+//! Differential suite for the set representation behind the knowledge
+//! cache: on random formulas and across scenario spaces, extensions
+//! served through the cache — cold, and again through a cache another
+//! evaluator has already warmed — must be **bit-identical** to each other
+//! and to the recursive reference evaluator (`Evaluator::eval_reference`)
+//! and the formula-iteration gfp reference; decisions, optimality
+//! verdicts and gfp iteration counts must not depend on the cache's
+//! state; and an incremental session must never serve a set from before
+//! an extension.
 //!
-//! The backends share all computation (every sweep and fixpoint runs on
-//! dense words in both modes; the shared backend is a storage and
-//! combination layer behind the knowledge cache), so equality here is by
-//! construction — which is exactly what makes this suite cheap to keep
-//! exhaustive: any divergence means the interning layer leaked into
-//! semantics.
+//! The test names date from when the cache had two set-representation
+//! backends. With the dense word-block representation the only one left,
+//! each property compares the cache-served production path with a cold
+//! run of itself and with an independent reference, so any leak of cached
+//! storage into semantics still shows.
 
 use eba::prelude::*;
 use eba_kripke::fixpoint;
@@ -42,9 +43,12 @@ fn general_omission_system() -> &'static GeneratedSystem {
     })
 }
 
-/// An evaluator over `system` with a private cache on the given backend.
-fn evaluator(system: &GeneratedSystem, repr: SetReprKind) -> Evaluator<'_> {
-    Evaluator::with_cache(system, KnowledgeCache::with_repr(repr))
+fn pick_system(which: usize) -> (&'static GeneratedSystem, &'static str) {
+    match which {
+        0 => (crash_system(), "crash (exhaustive)"),
+        1 => (omission_system(), "omission (exhaustive)"),
+        _ => (general_omission_system(), "general-omission (exhaustive)"),
+    }
 }
 
 /// A generator of epistemic-temporal formulas over 3 processors (no
@@ -82,104 +86,69 @@ fn formula_strategy() -> impl Strategy<Value = Formula> {
     })
 }
 
-/// Evaluates `phi` on both backends over `system` and asserts the
-/// extensions are bit-identical. Evaluates twice on the shared side so
-/// the second pass is served through interned cache artifacts.
-fn assert_backends_agree(
-    system: &GeneratedSystem,
-    phi: &Formula,
-    label: &str,
-) -> Result<(), TestCaseError> {
-    let mut dense = evaluator(system, SetReprKind::Dense);
-    let mut shared = evaluator(system, SetReprKind::Shared);
-    let want = dense.eval(phi);
-    let got = shared.eval(phi);
-    prop_assert_eq!(
-        &*want,
-        &*got,
-        "dense and shared backends disagree on {} over {}",
-        phi,
-        label
-    );
-    // A second evaluation from a fresh evaluator over the same (warm)
-    // shared cache: reachability and scope columns now come back
-    // through the node table.
-    let warm_cache = shared.knowledge_cache().clone();
-    let mut rewarmed = Evaluator::with_cache(system, warm_cache);
-    let again = rewarmed.eval(phi);
-    prop_assert_eq!(
-        &*want,
-        &*again,
-        "a warm shared cache changed the extension of {} over {}",
-        phi,
-        label
-    );
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Core differential property: on random formulas, shared-backend
-    /// extensions equal dense ones on exhaustive crash, omission, and
-    /// general-omission systems — cold and through a warm shared cache.
+    /// Core differential property: on random formulas over exhaustive
+    /// crash, omission and general-omission systems, the cache-served
+    /// extension equals the reference evaluator's — cold, and again from
+    /// a fresh evaluator whose reachability and scope columns all come
+    /// back from the warm cache.
     #[test]
     fn shared_matches_dense_on_random_formulas(
         phi in formula_strategy(),
         which in 0usize..3,
     ) {
-        let (system, label) = match which {
-            0 => (crash_system(), "crash (exhaustive)"),
-            1 => (omission_system(), "omission (exhaustive)"),
-            _ => (general_omission_system(), "general-omission (exhaustive)"),
-        };
-        assert_backends_agree(system, &phi, label)?;
+        let (system, label) = pick_system(which);
+        let want = Evaluator::new(system).eval_reference(&phi);
+        let mut cold = Evaluator::new(system);
+        let got = cold.eval(&phi);
+        prop_assert_eq!(
+            &want,
+            &*got,
+            "cold cache and reference disagree on {} over {}",
+            &phi,
+            label
+        );
+        let mut warm = Evaluator::with_cache(system, cold.knowledge_cache().clone());
+        let again = warm.eval(&phi);
+        prop_assert_eq!(
+            &want,
+            &*again,
+            "a warm cache changed the extension of {} over {}",
+            &phi,
+            label
+        );
     }
 
-    /// Gfp fixpoints agree in result *and* iteration count across
-    /// backends, for both `C_S` and `C□_S`: the iteration always runs
-    /// dense, so the counts must be identical by construction.
+    /// Gfp fixpoints for both `C_S` and `C□_S` agree in result *and*
+    /// iteration count between a cold cache, a warm cache, and the
+    /// formula-iteration reference.
     #[test]
     fn gfp_iteration_counts_are_identical_across_backends(
         phi in formula_strategy(),
         which in 0usize..3,
         continual in proptest::bool::ANY,
     ) {
-        let system = match which {
-            0 => crash_system(),
-            1 => omission_system(),
-            _ => general_omission_system(),
-        };
-        let mut dense = evaluator(system, SetReprKind::Dense);
-        let mut shared = evaluator(system, SetReprKind::Shared);
+        let (system, label) = pick_system(which);
         let s = NonRigidSet::Nonfaulty;
-        let ((a, ia), (b, ib)) = if continual {
-            (
-                fixpoint::continual_common_by_gfp(&mut dense, s, &phi),
-                fixpoint::continual_common_by_gfp(&mut shared, s, &phi),
-            )
-        } else {
-            (
-                fixpoint::common_by_gfp(&mut dense, s, &phi),
-                fixpoint::common_by_gfp(&mut shared, s, &phi),
-            )
+        let gfp = |eval: &mut Evaluator<'_>| {
+            if continual {
+                fixpoint::continual_common_by_gfp(eval, s, &phi)
+            } else {
+                fixpoint::common_by_gfp(eval, s, &phi)
+            }
         };
-        prop_assert_eq!(&a, &b, "gfp results diverge across backends on {}", &phi);
-        prop_assert_eq!(ia, ib, "gfp iteration counts diverge across backends on {}", &phi);
-    }
-
-    /// Symmetry on/off × backend: the quotiented system evaluated under
-    /// the shared backend equals its dense evaluation, and likewise for
-    /// the unreduced system (processor-symmetric formulas only, as the
-    /// quotient requires).
-    #[test]
-    fn shared_matches_dense_on_quotiented_systems(
-        phi in formula_strategy(),
-    ) {
-        let scenario = Scenario::new(3, 1, FailureMode::Crash, 3).unwrap();
-        let reduced = SystemBuilder::new(&scenario).symmetry(true).build().unwrap();
-        assert_backends_agree(&reduced, &phi, "crash (quotiented)")?;
-        assert_backends_agree(crash_system(), &phi, "crash (unreduced)")?;
+        let mut cold = Evaluator::new(system);
+        let (a, ia) = gfp(&mut cold);
+        let mut warm = Evaluator::with_cache(system, cold.knowledge_cache().clone());
+        let (b, ib) = gfp(&mut warm);
+        let (want, iw) =
+            fixpoint::common_by_formula_iteration(&mut Evaluator::new(system), s, &phi, continual);
+        prop_assert_eq!(&a, &want, "cold gfp diverges from the reference on {} over {}", &phi, label);
+        prop_assert_eq!(&b, &want, "warm gfp diverges from the reference on {} over {}", &phi, label);
+        prop_assert_eq!(ia, iw, "cold gfp iteration count diverges on {} over {}", &phi, label);
+        prop_assert_eq!(ib, iw, "warm gfp iteration count diverges on {} over {}", &phi, label);
     }
 }
 
@@ -208,150 +177,106 @@ fn random_family(system: &GeneratedSystem, seed: u64, keep_mod: u64) -> StateSet
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Registered `N ∧ A` families flow through the shared backend's
-    /// node-table cache keys (interned family roots instead of raw word
-    /// vectors); the served knowledge must not notice.
+    /// Registered `N ∧ A` families key the cache by their membership
+    /// words: the same family registered on a second evaluator over the
+    /// warm cache gets the same id, is served without recomputing any
+    /// reachability, and yields the reference evaluator's extensions.
     #[test]
     fn registered_families_agree_across_backends(
         seed in proptest::num::u64::ANY,
         keep_mod in 1u64..5,
     ) {
         let system = omission_system();
-        let mut dense = evaluator(system, SetReprKind::Dense);
-        let mut shared = evaluator(system, SetReprKind::Shared);
         let fam = random_family(system, seed, keep_mod);
-        let a = dense.register_state_sets(fam.clone());
-        prop_assert_eq!(a, shared.register_state_sets(fam));
+        let mut cold = Evaluator::new(system);
+        let mut reference = Evaluator::new(system);
+        let a = cold.register_state_sets(fam.clone());
+        prop_assert_eq!(a, reference.register_state_sets(fam.clone()));
         let phi = Formula::exists(Value::Zero);
-        for formula in [
+        let formulas = [
             phi.clone().common(NonRigidSet::NonfaultyAnd(a)),
             phi.clone().continual_common(NonRigidSet::NonfaultyAnd(a)),
             phi.clone()
                 .believed_by(ProcessorId::new(1), NonRigidSet::NonfaultyAnd(a))
                 .eventually(),
-        ] {
+        ];
+        for formula in &formulas {
             prop_assert_eq!(
-                &*dense.eval(&formula),
-                &*shared.eval(&formula),
-                "backends disagree on registered-family formula {}",
-                &formula
+                &reference.eval_reference(formula),
+                &*cold.eval(formula),
+                "cold cache and reference disagree on registered-family formula {}",
+                formula
             );
         }
-        // The shared cache actually interned the family and columns: the
-        // node table must be non-empty after serving those queries.
-        let stats = shared.knowledge_cache().stats();
-        prop_assert!(stats.nodes > 0, "shared backend served without interning: {}", stats);
-    }
-}
-
-/// Chaos supervision must stay invisible to the shared backend: with a
-/// panic injected into a reachability worker, shared-backend evaluation
-/// still matches a fault-free dense oracle bit for bit.
-#[test]
-fn shared_matches_dense_under_chaos_supervision() {
-    use eba_sim::chaos::{ChaosPlan, FaultInjector, FaultKind, FaultSite};
-    use std::sync::Arc;
-    // Big enough that reachability edge collection fans out to the
-    // supervised worker pool, so the injected panic lands in a worker.
-    let scenario = Scenario::new(3, 2, FailureMode::Crash, 3).unwrap();
-    let system = GeneratedSystem::exhaustive(&scenario);
-    let phi = Formula::exists(Value::Zero);
-    let formula = phi
-        .clone()
-        .continual_common(NonRigidSet::Nonfaulty)
-        .or(phi.common(NonRigidSet::Everyone).not());
-
-    let mut dense = evaluator(&system, SetReprKind::Dense);
-    dense.set_threads(1);
-    let want = dense.eval(&formula);
-
-    let chaos =
-        Arc::new(ChaosPlan::new().with_fault(FaultSite::ReachabilityWorker, 0, FaultKind::Panic));
-    let mut chaotic = evaluator(&system, SetReprKind::Shared);
-    chaotic.set_threads(4);
-    chaotic.set_chaos(Arc::clone(&chaos) as Arc<dyn FaultInjector>);
-    let got = chaotic.eval(&formula);
-    assert_eq!(chaos.fired(), 1, "the planned worker panic must have fired");
-    assert_eq!(*got, *want, "chaos recovery changed a shared-backend extension");
-}
-
-/// Budget-partial systems (prefix of shards): shared-backend extensions
-/// on them equal the dense backend's.
-#[test]
-fn shared_matches_dense_on_budget_partial_system() {
-    let scenario = Scenario::new(3, 1, FailureMode::Crash, 3).unwrap();
-    let outcome = SystemBuilder::new(&scenario)
-        .threads(2)
-        .shards(8)
-        .budget(RunBudget::unlimited().with_max_runs(40))
-        .build_governed()
-        .expect("governed build failed");
-    let system = match outcome {
-        BuildOutcome::Partial { system, .. } => system,
-        BuildOutcome::Complete { .. } => {
-            panic!("max-runs budget should have cut the build short")
+        let cache = cold.knowledge_cache().clone();
+        let misses = cache.stats().reach_misses;
+        prop_assert!(misses > 0, "the cold pass must have filled the cache: {}", cache.stats());
+        let mut warm = Evaluator::with_cache(system, cache.clone());
+        prop_assert_eq!(a, warm.register_state_sets(fam));
+        for formula in &formulas {
+            prop_assert_eq!(
+                &reference.eval_reference(formula),
+                &*warm.eval(formula),
+                "warm cache and reference disagree on registered-family formula {}",
+                formula
+            );
         }
-    };
-    assert!(system.num_runs() > 0, "need a nonempty partial prefix");
-
-    let phi = Formula::exists(Value::One);
-    for formula in [
-        phi.clone().everyone(NonRigidSet::Nonfaulty),
-        phi.clone().common(NonRigidSet::Nonfaulty),
-        phi.clone().continual_common(NonRigidSet::Nonfaulty).not(),
-        phi.clone().distributed(NonRigidSet::Everyone).eventually(),
-    ] {
-        let mut dense = evaluator(&system, SetReprKind::Dense);
-        let mut shared = evaluator(&system, SetReprKind::Shared);
-        assert_eq!(
-            *dense.eval(&formula),
-            *shared.eval(&formula),
-            "partial-system extensions diverge across backends on {formula}"
+        prop_assert_eq!(
+            cache.stats().reach_misses,
+            misses,
+            "the warm pass recomputed reachability for a cached family: {}",
+            cache.stats()
         );
     }
 }
 
-/// The optimization pipeline must produce the same decision sets and the
-/// same Theorem 5.3 optimality verdict on both backends, down to the
-/// per-run decision tables.
+/// The optimization pipeline produces the same decision sets, per-run
+/// decision tables and Theorem 5.3 optimality verdict whether its
+/// constructor starts on a cold cache or on one a previous optimization
+/// already warmed.
 #[test]
 fn decisions_and_optimality_verdicts_agree_across_backends() {
     let system = omission_system();
-    let mut dense_ctor = Constructor::with_cache(system, KnowledgeCache::new());
-    let mut shared_ctor =
-        Constructor::with_cache(system, KnowledgeCache::with_repr(SetReprKind::Shared));
     let base = DecisionPair::empty(3);
-    let optimized_dense = dense_ctor.optimize(&base);
-    let optimized_shared = shared_ctor.optimize(&base);
+    let mut cold_ctor = Constructor::new(system);
+    let optimized_cold = cold_ctor.optimize(&base);
+    let warm_cache = cold_ctor.evaluator().knowledge_cache().clone();
+    let mut warm_ctor = Constructor::with_cache(system, warm_cache);
+    let optimized_warm = warm_ctor.optimize(&base);
     assert_eq!(
-        optimized_dense, optimized_shared,
-        "optimized decision pairs diverge across backends"
+        optimized_cold, optimized_warm,
+        "optimized decision pairs diverge between a cold and a warm cache"
     );
-    let d_dense = FipDecisions::compute(system, &optimized_dense, "dense");
-    let d_shared = FipDecisions::compute(system, &optimized_shared, "shared");
+    let d_cold = FipDecisions::compute(system, &optimized_cold, "cold");
+    let d_warm = FipDecisions::compute(system, &optimized_warm, "warm");
     for r in system.run_ids() {
         for i in ProcessorId::all(3) {
-            let a = d_dense.decision(r, i).map(|d| (d.time, d.value));
-            let b = d_shared.decision(r, i).map(|d| (d.time, d.value));
+            let a = d_cold.decision(r, i).map(|d| (d.time, d.value));
+            let b = d_warm.decision(r, i).map(|d| (d.time, d.value));
             assert_eq!(a, b, "decision of {i} in run {} diverges", r.index());
         }
     }
-    let v_dense = check_optimality(&mut dense_ctor, &optimized_dense).is_optimal();
-    let v_shared = check_optimality(&mut shared_ctor, &optimized_shared).is_optimal();
-    assert_eq!(v_dense, v_shared, "optimality verdicts diverge across backends");
+    let v_cold = check_optimality(&mut cold_ctor, &optimized_cold).is_optimal();
+    let v_warm = check_optimality(&mut warm_ctor, &optimized_warm).is_optimal();
+    assert_eq!(
+        v_cold, v_warm,
+        "optimality verdicts diverge between a cold and a warm cache"
+    );
+    assert!(
+        v_cold,
+        "Theorem 5.2's construction must pass the Theorem 5.3 check"
+    );
 }
 
-/// Horizon extension: one incremental session per backend, grown through
-/// the same horizons; per-horizon extensions and reuse accounting must be
-/// identical, and the shared session's node table must be purged at each
-/// epoch (stale roots can never be served across extensions).
+/// Horizon extension: one incremental session grown through several
+/// horizons must, at every horizon, match a cold session built directly
+/// there and the reference evaluator; each extension advances the cache
+/// epoch, and the first query after it recomputes its sets instead of
+/// serving ones from the smaller system.
 #[test]
 fn incremental_sessions_agree_across_backends() {
     let scenario = Scenario::new(3, 1, FailureMode::Crash, 2).unwrap();
-    let mut dense = EngineSession::exhaustive(&scenario).unwrap();
-    let mut shared = EngineSession::exhaustive_with_repr(&scenario, SetReprKind::Shared).unwrap();
-    assert_eq!(dense.set_repr(), SetReprKind::Dense);
-    assert_eq!(shared.set_repr(), SetReprKind::Shared);
+    let mut session = EngineSession::exhaustive(&scenario).unwrap();
     let phi = Formula::exists(Value::Zero);
     let formula = phi
         .clone()
@@ -359,23 +284,32 @@ fn incremental_sessions_agree_across_backends() {
         .or(phi.common(NonRigidSet::Nonfaulty).not());
     for h in [2u16, 3, 4] {
         if h > 2 {
-            let a = dense.extend_to(h).unwrap();
-            let b = shared.extend_to(h).unwrap();
-            assert_eq!(a, b, "extension reuse accounting diverges at horizon {h}");
+            let epoch = session.epoch();
+            session.extend_to(h).unwrap();
+            assert!(
+                session.epoch() > epoch,
+                "extension to horizon {h} kept the epoch"
+            );
         }
-        let mut dense_eval = dense.evaluator();
-        let mut shared_eval = shared.evaluator();
+        let cold = EngineSession::exhaustive(&scenario.with_horizon(h).unwrap()).unwrap();
+        let misses = session.cache().stats().reach_misses;
+        let got = session.evaluator().eval(&formula);
         assert_eq!(
-            *dense_eval.eval(&formula),
-            *shared_eval.eval(&formula),
-            "extensions diverge across backends at horizon {h}"
+            *got,
+            *cold.evaluator().eval(&formula),
+            "the grown session diverges from a cold build at horizon {h}"
         );
-        let stats = shared.cache().stats();
-        assert_eq!(stats.set_repr, SetReprKind::Shared);
+        assert_eq!(
+            *got,
+            session.evaluator().eval_reference(&formula),
+            "the grown session diverges from the reference at horizon {h}"
+        );
+        let stats = session.cache().stats();
+        assert_eq!(stats.epoch, session.epoch());
         assert!(
-            stats.nodes > 0,
-            "the shared session must re-intern after each extension: {stats}"
+            stats.reach_misses > misses,
+            "the session must recompute reachability after each extension: {stats}"
         );
     }
-    assert_eq!(dense.epoch(), shared.epoch());
+    assert_eq!(session.extensions().len(), 2);
 }

@@ -87,20 +87,27 @@ fn assert_quotient_equivalent(reduced: &GeneratedSystem, full: &GeneratedSystem)
             })
             .collect()
     };
-    for plan_mode in [true, false] {
+    for reference in [false, true] {
         let mut full_eval = Evaluator::new(full);
         let mut reduced_eval = Evaluator::new(reduced);
-        full_eval.set_plan_mode(plan_mode);
-        reduced_eval.set_plan_mode(plan_mode);
         for text in SYMMETRIC_FORMULAS {
             let f = parse_formula(text).unwrap();
-            let full_sat = full_eval.eval(&f).clone();
-            let reduced_sat = reduced_eval.eval(&f).clone();
+            let (full_sat, reduced_sat) = if reference {
+                (
+                    full_eval.eval_reference(&f),
+                    reduced_eval.eval_reference(&f),
+                )
+            } else {
+                (
+                    (*full_eval.eval(&f)).clone(),
+                    (*reduced_eval.eval(&f)).clone(),
+                )
+            };
             for &(full_idx, reduced_idx) in &transported {
                 assert_eq!(
                     full_sat.get(full_idx),
                     reduced_sat.get(reduced_idx),
-                    "`{text}` diverges at full point {full_idx} (plan={plan_mode})"
+                    "`{text}` diverges at full point {full_idx} (reference={reference})"
                 );
             }
         }
