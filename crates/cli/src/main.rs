@@ -11,7 +11,7 @@ use eba_kripke::parse::parse_formula;
 use eba_kripke::{Evaluator, Formula, KnowledgeCache};
 use eba_model::{
     BudgetHit, ExchangeKind, FailureMode, FailurePattern, FaultyBehavior, InitialConfig, ProcSet,
-    ProcessorId, Round, RunBudget, Scenario, Time, Value,
+    ProcessorId, Round, RunBudget, Scenario, Value,
 };
 use eba_serve::install_sigint;
 use eba_sim::{BuildOutcome, GeneratedSystem, SystemBuilder};
@@ -394,17 +394,6 @@ fn parse_pattern(spec: &str, scenario: &Scenario) -> Result<FailurePattern, Stri
     Ok(pattern)
 }
 
-fn describe_point(system: &GeneratedSystem, run: eba_sim::RunId, time: Time) -> String {
-    let record = system.run(run);
-    format!(
-        "run {} at {time}: config {} under [{}] (nonfaulty {})",
-        run.index(),
-        record.config,
-        record.pattern,
-        record.nonfaulty,
-    )
-}
-
 /// Builds the exhaustive system under `budget`, honoring the
 /// thread/shard knobs. Every build carries at least the Ctrl-C flag, so
 /// an interrupt stops it at the next shard checkpoint instead of being
@@ -483,13 +472,13 @@ fn check_valid(
     } else {
         println!("NOT VALID: holds at {holding}/{total} points");
         if let Some((run, time)) = eval.counterexample(formula) {
-            println!("counterexample: {}", describe_point(system, run, time));
+            println!("counterexample: {}", system.describe_point(run, time));
         }
         if options.witness {
             match satisfied.first_one() {
                 Some(idx) => {
                     let (run, time) = eval.point_of(idx);
-                    println!("witness: {}", describe_point(system, run, time));
+                    println!("witness: {}", system.describe_point(run, time));
                 }
                 None => println!("witness: none (formula is unsatisfiable here)"),
             }

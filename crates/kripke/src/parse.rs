@@ -69,9 +69,25 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
+/// Nesting depth — of parentheses and modal operators, `!` and `->` —
+/// past which [`parse_formula`] rejects the input. Written and generated
+/// formulas nest a handful of levels; 64 leaves generous headroom while
+/// keeping the parser's recursion, and that of every later pass over the
+/// formula, well inside a default 2 MiB thread stack (an unoptimized
+/// build spends about 10 KiB of stack per parenthesis level).
+const MAX_DEPTH: usize = 64;
+
+/// Formula size past which [`parse_formula`] rejects the input, counted as
+/// one node per operand or operator plus the copies `<->` makes: `a <-> b`
+/// desugars to `(a -> b) & (b -> a)`, so without a bound a short chain of
+/// `<->` expands exponentially.
+const MAX_NODES: usize = 100_000;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    depth: usize,
+    nodes: usize,
 }
 
 /// Parses a formula from the textual syntax; see the module docs.
@@ -79,11 +95,14 @@ struct Parser<'a> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending position on malformed
-/// input.
+/// input, and on input nested deeper than 64 levels or expanding past
+/// 100 000 formula nodes.
 pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
+        nodes: 0,
     };
     let formula = parser.iff()?;
     parser.skip_ws();
@@ -99,6 +118,31 @@ impl<'a> Parser<'a> {
             message: message.into(),
             offset: self.pos,
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, rejecting input nested past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Formula, ParseError>,
+    ) -> Result<Formula, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("formula nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Accounts for `count` more formula nodes, rejecting input past
+    /// [`MAX_NODES`].
+    fn grow(&mut self, count: usize) -> Result<(), ParseError> {
+        self.nodes += count;
+        if self.nodes > MAX_NODES {
+            return Err(self.error(format!("formula larger than {MAX_NODES} nodes")));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -165,6 +209,8 @@ impl<'a> Parser<'a> {
         let mut left = self.imp()?;
         while self.eat("<->") {
             let right = self.imp()?;
+            // `iff` copies both sides; account for the copies first.
+            self.grow(left.size() + right.size())?;
             left = left.iff(right);
         }
         Ok(left)
@@ -176,7 +222,7 @@ impl<'a> Parser<'a> {
         // `->` must not consume the `-` of `<->` (handled in iff) — at
         // this point a leading `<` never occurs, so plain matching works.
         if self.eat("->") {
-            let right = self.imp()?; // right-associative
+            let right = self.nested(Self::imp)?; // right-associative
             return Ok(left.implies(right));
         }
         Ok(left)
@@ -211,19 +257,20 @@ impl<'a> Parser<'a> {
     }
 
     fn unary(&mut self) -> Result<Formula, ParseError> {
+        self.grow(1)?;
         if self.peek() == Some(b'!') {
             self.pos += 1;
-            return Ok(self.unary()?.not());
+            return Ok(self.nested(Self::unary)?.not());
         }
         if self.eat("¬") {
-            return Ok(self.unary()?.not());
+            return Ok(self.nested(Self::unary)?.not());
         }
         self.modal()
     }
 
     fn parens(&mut self) -> Result<Formula, ParseError> {
         self.expect("(")?;
-        let inner = self.iff()?;
+        let inner = self.nested(Self::iff)?;
         self.expect(")")?;
         Ok(inner)
     }
@@ -478,6 +525,64 @@ mod tests {
         );
         assert!(parse_formula("").is_err());
         assert!(parse_formula("(E0").is_err());
+    }
+
+    /// Runs `parse_formula` over `inputs` on a thread with the default
+    /// 2 MiB stack every `eba-serve` query thread runs on, returning each
+    /// result's error message (`None` for a successful parse).
+    fn parse_on_small_stack(inputs: Vec<String>) -> Vec<Option<String>> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                inputs
+                    .iter()
+                    .map(|input| parse_formula(input).err().map(|e| e.message))
+                    .collect()
+            })
+            .unwrap()
+            .join()
+            .expect("parsing must not overflow a 2 MiB stack")
+    }
+
+    #[test]
+    fn oversized_input_is_rejected_promptly_on_a_small_stack() {
+        let start = std::time::Instant::now();
+        let deep = [
+            format!("{}E0", "!".repeat(20_000)),
+            format!("{}E0", "!".repeat(100_000)),
+            format!("{}E0{}", "(".repeat(100_000), ")".repeat(100_000)),
+            format!("{}E0", "K_1(".repeat(50_000)),
+            format!("{}E0", "E0 -> ".repeat(100_000)),
+        ];
+        let wide = [20, 30].map(|links| vec!["E0"; links + 1].join(" <-> "));
+        let inputs = deep.iter().chain(&wide).cloned().collect();
+        let messages = parse_on_small_stack(inputs);
+        for message in &messages[..deep.len()] {
+            let message = message.as_deref().expect("over-deep input must fail");
+            assert!(message.contains("nested deeper than 64"), "{message}");
+        }
+        for message in &messages[deep.len()..] {
+            let message = message.as_deref().expect("over-large input must fail");
+            assert!(message.contains("larger than 100000 nodes"), "{message}");
+        }
+        assert!(start.elapsed() < std::time::Duration::from_secs(10));
+    }
+
+    #[test]
+    fn input_within_the_bounds_still_parses_on_a_small_stack() {
+        let inputs = vec![
+            format!("{}E0", "!".repeat(63)),
+            format!("{}E0{}", "(".repeat(63), ")".repeat(63)),
+            format!("{}E0{}", "CC(".repeat(63), ")".repeat(63)),
+            format!("{}E0", "E0 -> ".repeat(63)),
+            ["E0"; 11].join(" <-> "),
+            ["E0"; 10_000].join(" & "),
+        ];
+        assert!(parse_on_small_stack(inputs).iter().all(Option::is_none));
+        assert_eq!(
+            parse_formula(&format!("{}E0", "!".repeat(63))).unwrap(),
+            (0..63).fold(Formula::exists(Value::Zero), |f, _| f.not())
+        );
     }
 
     #[test]

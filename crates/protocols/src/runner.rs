@@ -2,7 +2,7 @@
 //! sets, validating properties and collecting decision statistics.
 
 use eba_model::{enumerate, sample, FailurePattern, InitialConfig, Scenario, ScenarioSpace};
-use eba_sim::chaos::{supervised_indexed, EngineFault, FaultInjector, FaultSite, NoChaos};
+use eba_sim::chaos::{supervised_indexed, EngineFault, FaultInjector, FaultSite};
 use eba_sim::stats::DecisionStats;
 use eba_sim::{execute_unchecked, Protocol};
 use rand::rngs::StdRng;
@@ -125,28 +125,14 @@ pub fn run_exhaustive<P: Protocol>(protocol: &P, scenario: &Scenario) -> Campaig
 
 /// Runs `protocol` over every run of the scenario, splitting the pattern
 /// axis into [`ScenarioSpace`] shards executed by `threads` worker
-/// threads. Every aggregate in the report is commutative, so the result
-/// equals [`run_exhaustive`] for any thread count.
-pub fn run_exhaustive_threaded<P: Protocol + Sync>(
-    protocol: &P,
-    scenario: &Scenario,
-    threads: usize,
-) -> CampaignReport {
-    match run_exhaustive_supervised(protocol, scenario, threads, &(Arc::new(NoChaos) as _)) {
-        Ok(report) => report,
-        // Unreachable without an injector: supervision retries a panicked
-        // shard and falls back to sequential re-execution before erroring.
-        Err(fault) => panic!("{fault}"),
-    }
-}
-
-/// [`run_exhaustive_threaded`] with explicit worker supervision and fault
-/// injection: each campaign shard runs under `catch_unwind`, a panicked
-/// shard is retried once on a fresh thread and then recomputed
-/// sequentially, and only a persistently failing shard surfaces as a
-/// typed [`EngineFault`]. Aggregates merge in shard order, so the report
-/// is identical to the sequential one whenever `Ok` is returned — even
-/// when recovery paths were taken.
+/// threads, with explicit worker supervision and fault injection (pass
+/// [`NoChaos`](eba_sim::chaos::NoChaos) for none): each campaign shard
+/// runs under `catch_unwind`, a panicked shard is retried once on a
+/// fresh thread and then recomputed sequentially, and only a
+/// persistently failing shard surfaces as a typed [`EngineFault`].
+/// Aggregates merge in shard order, so the report is identical to the
+/// sequential one whenever `Ok` is returned — even when recovery paths
+/// were taken.
 ///
 /// # Errors
 ///
@@ -235,8 +221,10 @@ mod tests {
     fn threaded_campaign_matches_sequential() {
         let scenario = Scenario::new(3, 1, FailureMode::Omission, 2).unwrap();
         let sequential = run_exhaustive(&Relay::p0(1), &scenario);
+        let no_chaos: Arc<dyn FaultInjector> = Arc::new(eba_sim::chaos::NoChaos);
         for threads in [1, 2, 5] {
-            let threaded = run_exhaustive_threaded(&Relay::p0(1), &scenario, threads);
+            let threaded =
+                run_exhaustive_supervised(&Relay::p0(1), &scenario, threads, &no_chaos).unwrap();
             assert_eq!(threaded.runs, sequential.runs, "{threads} threads");
             assert_eq!(threaded.stats.histogram(), sequential.stats.histogram());
             assert_eq!(threaded.stats.undecided(), sequential.stats.undecided());

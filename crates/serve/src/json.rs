@@ -448,8 +448,98 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Frame fragments for the parser fuzz: JSON punctuation, every
+    /// field name the parser knows, values of every JSON type (including
+    /// out-of-range and ill-typed ones), and raw bytes.
+    const FRAGMENTS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "\"op\"",
+        "\"check\"",
+        "\"optimize\"",
+        "\"sweep\"",
+        "\"evict\"",
+        "\"stats\"",
+        "\"ping\"",
+        "\"formula\"",
+        "\"CC(E0) -> C(E0)\"",
+        "\"n\"",
+        "\"t\"",
+        "\"mode\"",
+        "\"omission\"",
+        "\"exchange\"",
+        "\"digest:64\"",
+        "\"horizon\"",
+        "\"sampled\"",
+        "\"symmetry\"",
+        "\"from\"",
+        "\"to\"",
+        "\"shards\"",
+        "\"deadline_ms\"",
+        "\"max_runs\"",
+        "\"witness\"",
+        "\"set_repr\"",
+        "0",
+        "1",
+        "-1",
+        "65536",
+        "9223372036854775807",
+        "1e999",
+        "-0.5",
+        "true",
+        "false",
+        "null",
+        "\"\\u0000\"",
+        "\"\\ud800\"",
+        " ",
+        "\n",
+        "\u{fffd}",
+        "\u{1f600}",
+    ];
+
+    /// Builds a frame from `len` seeded draws: a fragment, or a raw byte
+    /// (decoded lossily, as a line read off the wire would be).
+    pub(crate) fn fuzz_line(seed: u64, len: usize) -> String {
+        let mut bytes = Vec::new();
+        let mut x = seed;
+        for _ in 0..len {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            match (z % (FRAGMENTS.len() as u64 + 8)) as usize {
+                i if i < FRAGMENTS.len() => bytes.extend_from_slice(FRAGMENTS[i].as_bytes()),
+                _ => bytes.push((z >> 32) as u8),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// No byte string panics the JSON parser: it yields a value or a
+        /// typed [`JsonError`].
+        #[test]
+        fn arbitrary_lines_parse_or_fail_without_panicking(
+            seed in proptest::num::u64::ANY,
+            len in 0usize..48,
+        ) {
+            let line = fuzz_line(seed, len);
+            if let Err(e) = parse(&line) {
+                proptest::prop_assert!(!e.message.is_empty(), "{:?}", line);
+            }
+        }
+    }
 
     #[test]
     fn round_trips_are_byte_stable() {

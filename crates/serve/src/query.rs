@@ -19,7 +19,7 @@ use crate::protocol::{CheckRequest, Request, ScenarioSpec, ServeError, SweepRequ
 use eba_core::{check_optimality, DecisionPair, EngineSession, SessionScope};
 use eba_kripke::parse::parse_formula;
 use eba_kripke::{Evaluator, Formula};
-use eba_model::{RunBudget, Time};
+use eba_model::RunBudget;
 use eba_sim::{BuildOutcome, GeneratedSystem};
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
@@ -127,17 +127,6 @@ fn symmetry_fields(system: &GeneratedSystem, fields: &mut Vec<(&'static str, Jso
     }
 }
 
-fn describe_point(system: &GeneratedSystem, run: eba_sim::RunId, time: Time) -> String {
-    let record = system.run(run);
-    format!(
-        "run {} at {time}: config {} under [{}] (nonfaulty {})",
-        run.index(),
-        record.config,
-        record.pattern,
-        record.nonfaulty,
-    )
-}
-
 /// The VALID/NOT-VALID core shared by checks and sweep horizons:
 /// evaluates `formula` over every point and appends the verdict fields.
 fn verdict_fields(
@@ -158,7 +147,7 @@ fn verdict_fields(
         if let Some((run, time)) = eval.counterexample(formula) {
             fields.push((
                 "counterexample",
-                Json::Str(describe_point(system, run, time)),
+                Json::Str(system.describe_point(run, time)),
             ));
         }
     }
@@ -166,7 +155,7 @@ fn verdict_fields(
         match satisfied.first_one() {
             Some(idx) => {
                 let (run, time) = eval.point_of(idx);
-                fields.push(("witness", Json::Str(describe_point(system, run, time))));
+                fields.push(("witness", Json::Str(system.describe_point(run, time))));
             }
             None => fields.push(("witness", Json::Null)),
         }

@@ -233,6 +233,27 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn formula_bombs_get_bad_request_and_the_daemon_survives() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    // A deep negation chain would overflow a query thread's stack, and a
+    // `<->` chain expands exponentially as it desugars: both must come
+    // back as typed bad-request frames.
+    let bombs = [
+        format!("{}E0", "!".repeat(20_000)),
+        ["E0"; 31].join(" <-> "),
+    ];
+    for formula in bombs {
+        let frame = format!(r#"{{"op":"check","formula":"{formula}"}}"#);
+        let response = client.ask(&frame);
+        assert!(response.contains(r#""error":"bad-request""#), "{response}");
+    }
+    assert_eq!(client.ask(r#"{"op":"ping"}"#), r#"{"ok":true,"op":"pong"}"#);
+    let snapshot = server.drain();
+    assert_eq!(snapshot.panics, 0, "{snapshot:?}");
+}
+
+#[test]
 fn oversized_frames_are_rejected_and_disconnected() {
     let config = ServeConfig {
         max_frame_bytes: 1024,

@@ -1,34 +1,43 @@
 //! Staged, shardable, supervised construction of generated systems.
 //!
-//! [`SystemBuilder`] replaces the monolithic exhaustive generation loop
-//! with a three-stage pipeline:
+//! [`SystemBuilder`] produces every generated system — a cold build, a
+//! horizon extension ([`SystemBuilder::extend`]) and a pinned extension
+//! ([`SystemBuilder::extend_pinned`]) — through one pipeline:
 //!
-//! 1. **shard** — the scenario's pattern axis is split into deterministic
-//!    contiguous chunks by [`ScenarioSpace::shards`];
-//! 2. **build** — each shard enumerates its `(pattern, config)` block and
-//!    interns full-information views into a *shard-local* [`ViewTable`],
-//!    with no shared state, so shards run on independent threads;
-//! 3. **merge** — shard tables are absorbed into one canonical table *in
-//!    shard order* ([`ViewTable::absorb`]), and shard run lists are
-//!    concatenated.
+//! 1. **block** — the work is split into deterministic contiguous
+//!    blocks: pattern-axis shards ([`ScenarioSpace::shards`]) for cold
+//!    builds and extensions, base-run ranges for pinned extensions;
+//! 2. **simulate** — each block simulates its runs into a *block-local*
+//!    [`ViewTable`] (a fresh table, or a clone of the base table for an
+//!    extension), with no shared state, so blocks run on independent
+//!    threads under one supervised pool. Every run takes the same step:
+//!    copy its base view row when it has one, then simulate the rounds
+//!    the row does not cover;
+//! 3. **merge** — the merged table *starts as the first block's table*
+//!    and absorbs the later block tables in block order
+//!    ([`ViewTable::absorb`]); run lists are concatenated, and the merge
+//!    assembles the [`GeneratedSystem`] with its symmetry accounting.
 //!
-//! Because shards cover contiguous slices of the sequential enumeration
-//! order and `absorb` re-interns each shard's views in first-encounter
-//! order, the merged system is **bit-identical** to a sequential build:
-//! the same `ViewId` and `RunId` assignment for every worker/shard count.
+//! Because blocks cover contiguous slices of the sequential order and
+//! `absorb` re-interns each block's views in first-encounter order, the
+//! merged system is **bit-identical** to a sequential build: the same
+//! `ViewId` and `RunId` assignment for every worker/shard count. (The
+//! first block is never re-interned: absorbing it into an empty table —
+//! or into the base clone it already extends — would be the identity.)
 //! Downstream artifacts (decision tables, optimality verdicts, printed
 //! ids) therefore never depend on the machine's parallelism.
 //!
 //! # Robustness (DESIGN.md §4c)
 //!
-//! Shard workers run under the supervised pool of [`crate::chaos`]: a
-//! panicking shard is retried once and then rebuilt sequentially, and
-//! because [`build_shard`](SystemBuilder) is a pure function of its
-//! shard, the recovered system is bit-identical to an undisturbed one.
-//! Only a shard that panics on all three attempts surfaces — as a typed
-//! [`EngineFault`] from [`SystemBuilder::build_governed`].
+//! Block workers run under the supervised pool of [`crate::chaos`]: a
+//! panicking block is retried once and then rebuilt sequentially, and
+//! because a block is a pure function of its inputs, the recovered system
+//! is bit-identical to an undisturbed one. Only a block that panics on
+//! all three attempts surfaces — as a typed [`EngineFault`] from
+//! [`SystemBuilder::build_governed`], or as a panic carrying the fault's
+//! message from the entry points that return a [`ModelError`].
 //!
-//! A [`RunBudget`] bounds the build cooperatively. The run bound is
+//! A [`RunBudget`] bounds a cold build cooperatively. The run bound is
 //! *planned statically* at shard granularity (each shard's run count is
 //! known before any work), so the set of built shards — and therefore the
 //! partial system — is deterministic. The wall-clock deadline is checked
@@ -43,16 +52,16 @@
 use crate::chaos::{
     supervised_indexed, EngineFault, FaultInjector, FaultSite, NoChaos, WorkerFault,
 };
-use crate::exchange::{try_exchange_views, AnyExchange, Exchange};
+use crate::exchange::{AnyExchange, Exchange};
 use crate::symmetry::SymmetryInfo;
 use crate::system::{GeneratedSystem, RunId, RunRecord};
 use crate::view::{ViewId, ViewTable};
 use eba_model::symmetry::{canonicalize, MAX_SYMMETRY_N};
 use eba_model::{
-    ArmedBudget, BudgetHit, FailurePattern, HorizonDelta, InitialConfig, ModelError, Round,
-    RunBudget, Scenario, ScenarioSpace, Shard,
+    ArmedBudget, BudgetHit, FailurePattern, HorizonDelta, InitialConfig, ModelError, ProcessorId,
+    Round, RunBudget, Scenario, ScenarioSpace, Shard, Time,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::thread;
@@ -196,11 +205,9 @@ impl SystemBuilder {
     /// message, never a bare `expect`.
     pub fn build(mut self) -> Result<GeneratedSystem, ModelError> {
         self.budget = RunBudget::unlimited();
-        match self.build_governed() {
-            Ok(outcome) => Ok(outcome.into_system()),
-            Err(EngineFault::Model(e)) => Err(e),
-            Err(fault @ EngineFault::WorkerPanicked { .. }) => panic!("{fault}"),
-        }
+        self.build_governed()
+            .map(BuildOutcome::into_system)
+            .map_err(model_error_or_panic)
     }
 
     /// Extends `base` — an **exhaustive** system of the same `(n, t,
@@ -222,19 +229,18 @@ impl SystemBuilder {
     /// the new rounds, or crash patterns the base horizon canonicalized
     /// away) are simulated from scratch.
     ///
-    /// Extension runs the appended-round pattern blocks through the same
-    /// supervised work-stealing pool as a cold build: the pattern axis is
-    /// split into contiguous blocks, each block clones the base table and
-    /// simulates its slice, and the block tables are absorbed back in
-    /// block order (the canonical re-interning merge). Because a block
-    /// table is the base table plus the block's new views in enumeration
-    /// order, absorbing into a merged table that starts as a base clone
-    /// maps every base id to itself — so run ids, view ids, and view
-    /// content are bit-identical for every thread/block count, and
-    /// identical to a sequential extension. The builder's `threads`,
-    /// `shards`, and `chaos` knobs are honored (chaos is consulted once
-    /// per block at [`FaultSite::BuilderShard`]); the budget applies to
-    /// cold builds only and is ignored here.
+    /// Extension runs the same block pipeline as a cold build: the
+    /// pattern axis is split into contiguous blocks, each block clones
+    /// the base table once and simulates its slice, and the merged table
+    /// starts as the first block's table and absorbs the others in block
+    /// order. Because every block table is the base table plus the
+    /// block's new views in enumeration order, absorbing maps every base
+    /// id to itself — so run ids, view ids, and view content are
+    /// bit-identical for every thread/block count, and identical to a
+    /// sequential extension. The builder's `threads`, `shards`, and
+    /// `chaos` knobs are honored (chaos is consulted once per block at
+    /// [`FaultSite::BuilderShard`]); the budget applies to cold builds
+    /// only and is ignored here.
     ///
     /// # Errors
     ///
@@ -255,39 +261,10 @@ impl SystemBuilder {
         base: &GeneratedSystem,
     ) -> Result<(GeneratedSystem, ExtendReport), ModelError> {
         let delta = self.extension_delta(base)?;
-        let space = ScenarioSpace::new(self.scenario);
-        if space.total_runs() > RUN_CAPACITY {
-            return Err(ModelError::capacity_exceeded("run ids", RUN_CAPACITY));
-        }
-        let configs: Vec<InitialConfig> = space.configs().collect();
-        // A symmetric base extends into a symmetric system: the extended
-        // enumeration is filtered to canonical patterns exactly like a
-        // cold quotiented build. (Truncation does not preserve
-        // canonicality, so a canonical extended pattern may truncate to a
-        // non-representative base pattern; `find_run` then misses and the
-        // run is simulated fresh — reuse degrades, correctness doesn't.)
-        let symmetric = base.symmetry().is_some();
-
-        let blocks = space.shards(self.extend_blocks());
-        let workers = self.threads.min(blocks.len().max(1));
-        let chaos = &*self.chaos;
-        let outcomes = run_extend_pool(blocks.len(), workers, |index| {
-            chaos.inject(FaultSite::BuilderShard, index)?;
-            extend_block(base, &delta, &space, &configs, blocks[index], symmetric)
-        });
-        let merged = merge_extend_parts(base, outcomes)?;
-
-        let symmetry = symmetric
-            .then(|| Arc::new(SymmetryInfo::new(merged.orbit_sizes, space.num_patterns())));
-        let system = GeneratedSystem::from_parts(
-            self.scenario,
-            merged.runs,
-            merged.views,
-            merged.table,
-            merged.lookup,
-            symmetry,
-        );
-        Ok((system, merged.report))
+        let (outcome, report) = self
+            .build_blocks(Some((base, &delta)))
+            .map_err(model_error_or_panic)?;
+        Ok((outcome.into_system(), report))
     }
 
     /// Extends `base` — **any** system of the same `(n, t, mode)` at a
@@ -305,8 +282,8 @@ impl SystemBuilder {
     ///
     /// Like [`extend`](SystemBuilder::extend), the appended rounds run as
     /// contiguous base-run blocks through the supervised work-stealing
-    /// pool and merge by canonical re-interning, so the result is
-    /// bit-identical for every thread/block count.
+    /// pool and the same merge, so the result is bit-identical for every
+    /// thread/block count.
     ///
     /// # Errors
     ///
@@ -326,45 +303,39 @@ impl SystemBuilder {
         base: &GeneratedSystem,
     ) -> Result<(GeneratedSystem, ExtendReport), ModelError> {
         let delta = self.extension_delta(base)?;
-
-        let total = base.num_runs();
-        let block_count = self.extend_blocks().clamp(1, total.max(1));
-        let block_len = total.div_ceil(block_count).max(1);
-        let bounds: Vec<std::ops::Range<usize>> = (0..total)
-            .step_by(block_len)
-            .map(|start| start..(start + block_len).min(total))
-            .collect();
-        let workers = self.threads.min(bounds.len().max(1));
-        let chaos = &*self.chaos;
-        let scenario = self.scenario;
-        let outcomes = run_extend_pool(bounds.len(), workers, |index| {
-            chaos.inject(FaultSite::BuilderShard, index)?;
-            extend_pinned_block(base, &delta, scenario, bounds[index].clone())
-        });
-        let merged = merge_extend_parts(base, outcomes)?;
         // Padding is order-preserving on behaviors and commutes with
         // relabeling, so it maps canonical patterns to canonical patterns
         // with identical stabilizers: a symmetric base stays symmetric
         // with its orbit sizes carried over verbatim.
         let symmetry = match base.symmetry() {
-            Some(info) => {
-                let patterns = ScenarioSpace::try_new(self.scenario)?.num_patterns();
-                Some(Arc::new(SymmetryInfo::new(
-                    info.orbit_sizes().to_vec(),
-                    patterns,
-                )))
-            }
+            Some(info) => Some((
+                info.orbit_sizes().to_vec(),
+                ScenarioSpace::try_new(self.scenario)?.num_patterns(),
+            )),
             None => None,
         };
-        let system = GeneratedSystem::from_parts(
-            self.scenario,
-            merged.runs,
-            merged.views,
-            merged.table,
-            merged.lookup,
-            symmetry,
-        );
-        Ok((system, merged.report))
+        let total = base.num_runs();
+        let block_len = total
+            .div_ceil(self.extend_blocks().clamp(1, total.max(1)))
+            .max(1);
+        let exchange = AnyExchange::for_scenario(&self.scenario);
+        let horizon = self.scenario.horizon();
+        let unlimited = RunBudget::unlimited().arm();
+        let count = total.div_ceil(block_len);
+        let (outcome, report) = self
+            .supervise_and_merge(count, count, None, &unlimited, symmetry, |index| {
+                let mut part = Part::new(base.table().clone());
+                for run in index * block_len..((index + 1) * block_len).min(total) {
+                    let r = RunId::try_new(run)?;
+                    let record = base.run(r);
+                    let pattern = delta.pad_pattern(&record.pattern);
+                    let row = Some(base.views_row(r));
+                    part.push_run(&exchange, horizon, record.config.clone(), pattern, row)?;
+                }
+                Ok(part)
+            })
+            .map_err(model_error_or_panic)?;
+        Ok((outcome.into_system(), report))
     }
 
     /// How many blocks the extension paths split their work into: the
@@ -423,77 +394,102 @@ impl SystemBuilder {
     /// [`EngineFault::WorkerPanicked`] when a shard panicked on all three
     /// supervision attempts.
     pub fn build_governed(self) -> Result<BuildOutcome, EngineFault> {
-        let armed = self.budget.arm();
+        self.build_blocks(None).map(|(outcome, _)| outcome)
+    }
+
+    /// The pattern-block pipeline shared by cold builds (`base` is
+    /// `None`) and extensions: shards the pattern axis, plans the run
+    /// bound, and runs [`build_block`] over every planned shard. An
+    /// extension ignores the budget and is symmetric exactly when its
+    /// base is.
+    fn build_blocks(
+        &self,
+        base: Option<(&GeneratedSystem, &HorizonDelta)>,
+    ) -> Result<(BuildOutcome, ExtendReport), EngineFault> {
         let space = ScenarioSpace::new(self.scenario);
         if space.total_runs() > RUN_CAPACITY {
             return Err(ModelError::capacity_exceeded("run ids", RUN_CAPACITY).into());
         }
-        if self.symmetry {
-            self.check_symmetry_supported()
-                .map_err(EngineFault::Model)?;
-        }
-        let configs: Vec<InitialConfig> = space.configs().collect();
-        let shard_count = self.shards.unwrap_or_else(|| {
-            if self.threads == 1 {
-                1
-            } else {
-                self.threads * SHARDS_PER_THREAD
+        let (symmetric, armed, shard_count) = match base {
+            None => {
+                if self.symmetry {
+                    self.check_symmetry_supported()?;
+                }
+                let shards = self.shards.unwrap_or_else(|| {
+                    if self.threads == 1 {
+                        1
+                    } else {
+                        self.threads * SHARDS_PER_THREAD
+                    }
+                });
+                (self.symmetry, self.budget.arm(), shards)
             }
-        });
+            Some((base, _)) => (
+                base.symmetry().is_some(),
+                RunBudget::unlimited().arm(),
+                self.extend_blocks(),
+            ),
+        };
+        let configs: Vec<InitialConfig> = space.configs().collect();
         let shards = space.shards(shard_count);
-        let total_shards = shards.len();
 
         // Plan the run bound statically: shard k's run count is
         // `shards[k].len() × |configs|` before any work happens, so the
         // set of shards inside the budget — and hence the partial system —
         // is deterministic, independent of timing and parallelism.
-        let (planned, mut hit) = plan_run_bound(&shards, configs.len() as u128, &armed);
+        let (planned, hit) = plan_run_bound(&shards, configs.len() as u128, &armed);
+        let symmetry = symmetric.then(|| (Vec::new(), space.num_patterns()));
+        self.supervise_and_merge(
+            planned.len(),
+            shards.len(),
+            hit,
+            &armed,
+            symmetry,
+            |index| build_block(&space, &configs, planned[index], symmetric, &armed, base),
+        )
+    }
 
-        let workers = self.threads.min(planned.len().max(1));
+    /// The one supervised execution of every job: runs `count` blocks
+    /// through the work-stealing pool of [`supervised_indexed`], consulting
+    /// the fault injector once per block at [`FaultSite::BuilderShard`],
+    /// and merges their outcomes in block order ([`merge`]). `total` is
+    /// the block count of an unbudgeted run and `hit` the budget hit of
+    /// the static run-bound plan; `symmetry` seeds the orbit accounting
+    /// (see [`merge`]).
+    fn supervise_and_merge<F>(
+        &self,
+        count: usize,
+        total: usize,
+        hit: Option<BudgetHit>,
+        armed: &ArmedBudget,
+        symmetry: Option<(Vec<u64>, u128)>,
+        block: F,
+    ) -> Result<(BuildOutcome, ExtendReport), EngineFault>
+    where
+        F: Fn(usize) -> Result<Part, ShardError> + Sync,
+    {
         let chaos = &*self.chaos;
-        let symmetry = self.symmetry;
         let (outcomes, worker_faults) =
-            supervised_indexed(planned.len(), workers, FaultSite::BuilderShard, |index| {
-                chaos
-                    .inject(FaultSite::BuilderShard, index)
-                    .map_err(ShardError::Model)?;
-                build_shard(&space, &configs, planned[index], &armed, symmetry)
+            supervised_indexed(count, self.threads, FaultSite::BuilderShard, |index| {
+                chaos.inject(FaultSite::BuilderShard, index)?;
+                block(index)
             })?;
-
-        // The first stopped shard (in shard order) ends the usable prefix;
-        // a model-level error there is a hard failure, a budget stop is a
-        // graceful one.
-        let mut parts = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            match outcome {
-                Ok(part) => parts.push(part),
-                Err(ShardError::Model(e)) => return Err(EngineFault::Model(e)),
-                Err(ShardError::Budget(budget_hit)) => {
-                    hit = Some(budget_hit);
-                    break;
-                }
-            }
-        }
-
-        let symmetry_total = self.symmetry.then(|| space.num_patterns());
-        let (system, merged, merge_hit) = merge(self.scenario, parts, &armed, symmetry_total)?;
-        if let Some(view_hit) = merge_hit {
-            hit = Some(view_hit);
-        }
+        let (system, merged, merge_hit, reuse) = merge(self.scenario, outcomes, armed, symmetry)?;
         let report = BuildReport {
             worker_faults,
-            total_shards,
+            total_shards: total,
         };
-        Ok(match hit {
+        let outcome = match merge_hit.or(hit) {
             None => BuildOutcome::Complete { system, report },
             Some(budget_hit) => BuildOutcome::Partial {
                 system,
                 completed_shards: merged,
-                total_shards,
+                total_shards: total,
                 budget_hit,
                 report,
             },
-        })
+        };
+        Ok((outcome, reuse))
     }
 }
 
@@ -629,12 +625,28 @@ impl fmt::Display for ExtendReport {
     }
 }
 
-/// Why a shard stopped early.
+/// Why a block stopped early.
 enum ShardError {
     /// A real model-level failure (capacity overflow, injected fault).
     Model(ModelError),
-    /// The shard hit the budget; the build degrades gracefully.
+    /// The block hit the budget; the build degrades gracefully.
     Budget(BudgetHit),
+}
+
+impl From<ModelError> for ShardError {
+    fn from(e: ModelError) -> Self {
+        ShardError::Model(e)
+    }
+}
+
+/// Maps a fault of a job that reports [`ModelError`]s: model errors
+/// pass through, and a block that defeated all three supervision attempts
+/// panics with the fault's rendered message.
+fn model_error_or_panic(fault: EngineFault) -> ModelError {
+    match fault {
+        EngineFault::Model(e) => e,
+        fault @ EngineFault::WorkerPanicked { .. } => panic!("{fault}"),
+    }
 }
 
 /// Keeps the longest shard prefix whose cumulative run count stays within
@@ -660,185 +672,114 @@ fn plan_run_bound(
     (planned, None)
 }
 
-/// The output of one shard: runs and views with *shard-local* view ids,
-/// plus (under the symmetry quotient) the orbit size of every built
-/// representative pattern, in enumeration order.
-struct ShardBuild {
+/// The output of one block: its runs and flattened view rows with ids
+/// valid in the block's own `table`, the orbit size of every built
+/// representative pattern (under the symmetry quotient, in enumeration
+/// order), and the block's reuse accounting.
+struct Part {
     table: ViewTable,
     views: Vec<ViewId>,
     runs: Vec<RunRecord>,
     orbit_sizes: Vec<u64>,
+    report: ExtendReport,
 }
 
-/// Builds one shard. Pure in `(space, configs, shard, symmetry)` —
-/// re-running it (the supervisor's retry and fallback) yields identical
-/// output. The budget's deadline and view bound are checked once per
-/// pattern. Under the symmetry quotient, non-canonical patterns are
-/// skipped (never simulated) and each kept pattern records its orbit
-/// size; skipping is a pure per-pattern predicate, so determinism and
-/// shard-count independence are untouched.
-fn build_shard(
+impl Part {
+    /// An empty part interning into `table`.
+    fn new(table: ViewTable) -> Self {
+        Part {
+            table,
+            views: Vec::new(),
+            runs: Vec::new(),
+            orbit_sizes: Vec::new(),
+            report: ExtendReport::default(),
+        }
+    }
+
+    /// The one per-run simulation step: appends the run of `(config,
+    /// pattern)` up to `horizon`. With a `base_row` — the run's flattened
+    /// view row in a base system whose table this part's table extends —
+    /// the row is copied verbatim and only the rounds after it are
+    /// simulated; without one the run is simulated from its time-0
+    /// leaves.
+    fn push_run(
+        &mut self,
+        exchange: &AnyExchange,
+        horizon: Time,
+        config: InitialConfig,
+        pattern: FailurePattern,
+        base_row: Option<&[ViewId]>,
+    ) -> Result<(), ModelError> {
+        let n = pattern.n();
+        let mut prev = match base_row {
+            Some(row) => row[row.len() - n..].to_vec(),
+            None => ProcessorId::all(n)
+                .map(|p| exchange.try_leaf(&mut self.table, p, n, config.value(p)))
+                .collect::<Result<_, _>>()?,
+        };
+        let covered = base_row.unwrap_or(&prev);
+        self.views.extend_from_slice(covered);
+        // The covered prefix holds times `0..covered.len() / n`.
+        let done = covered.len() / n - 1;
+        let reused = base_row.map_or(0, <[ViewId]>::len);
+        for round in Round::upto(horizon).skip(done) {
+            prev = exchange.try_step(&mut self.table, &pattern, round, &prev)?;
+            self.views.extend_from_slice(&prev);
+        }
+        if base_row.is_some() {
+            self.report.reused_runs += 1;
+        } else {
+            self.report.fresh_runs += 1;
+        }
+        self.report.reused_slots += reused;
+        self.report.computed_slots += (horizon.index() + 1) * n - reused;
+        let nonfaulty = pattern.nonfaulty_set();
+        self.runs.push(RunRecord {
+            config,
+            pattern,
+            nonfaulty,
+        });
+        Ok(())
+    }
+}
+
+/// The one block function of cold builds and extensions: simulates one
+/// contiguous slice of the pattern enumeration, crossed with every
+/// configuration. A cold block interns into a fresh table; an extension
+/// block (`base` given) interns into one clone of the base table and
+/// reuses the base row of every run whose pattern truncates
+/// ([`HorizonDelta::truncate_pattern`]) to a base run.
+///
+/// Pure in its arguments — re-running it (the supervisor's retry and
+/// fallback) yields identical output. The budget's deadline and view
+/// bound are checked once per pattern. Under the symmetry quotient,
+/// non-canonical patterns are skipped (never simulated) and each kept
+/// pattern records its orbit size; skipping is a pure per-pattern
+/// predicate, so determinism and block-count independence are untouched.
+/// (Truncation does not preserve canonicality, so a canonical extended
+/// pattern may truncate to a non-representative base pattern; `find_run`
+/// then misses and the run is simulated fresh — reuse degrades,
+/// correctness doesn't.)
+fn build_block(
     space: &ScenarioSpace,
     configs: &[InitialConfig],
     shard: Shard,
+    symmetric: bool,
     armed: &ArmedBudget,
-    symmetry: bool,
-) -> Result<ShardBuild, ShardError> {
+    base: Option<(&GeneratedSystem, &HorizonDelta)>,
+) -> Result<Part, ShardError> {
     let scenario = space.scenario();
-    let horizon = scenario.horizon();
+    // An extension's delta already enforced the exchange's extension
+    // policy (Scenario::extend_into), so dispatching here is sound.
     let exchange = AnyExchange::for_scenario(&scenario);
-    let mut table = ViewTable::new();
-    let mut runs = Vec::new();
-    let mut views = Vec::new();
-    let mut orbit_sizes = Vec::new();
+    let mut part = Part::new(base.map_or_else(ViewTable::new, |(base, _)| base.table().clone()));
     for pattern in space.shard_patterns(shard) {
         armed.check_deadline().map_err(ShardError::Budget)?;
-        // Shard-local distinct views lower-bound the merged total, so a
-        // shard that exceeds the view bound by itself can stop early.
+        // Block-local distinct views lower-bound the merged total, so a
+        // block that exceeds the view bound by itself can stop early.
         armed
-            .check_views(table.len() as u64)
+            .check_views(part.table.len() as u64)
             .map_err(ShardError::Budget)?;
-        debug_assert!(scenario.validate_pattern(&pattern).is_ok());
-        if symmetry {
-            let canon = canonicalize(&pattern);
-            if canon.canonical != pattern {
-                continue;
-            }
-            orbit_sizes.push(canon.orbit_size);
-        }
-        let nonfaulty = pattern.nonfaulty_set();
-        for config in configs {
-            let run_views = try_exchange_views(&exchange, config, &pattern, horizon, &mut table)
-                .map_err(ShardError::Model)?;
-            for time_views in &run_views {
-                views.extend_from_slice(time_views);
-            }
-            runs.push(RunRecord {
-                config: config.clone(),
-                pattern: pattern.clone(),
-                nonfaulty,
-            });
-        }
-    }
-    Ok(ShardBuild {
-        table,
-        views,
-        runs,
-        orbit_sizes,
-    })
-}
-
-/// Absorbs shard parts in shard order, checking the view bound after each
-/// shard. Returns the system, the number of shards merged, and the view
-/// hit that stopped the merge early (if any). The shard that crosses the
-/// view bound is the last one included — bounds are honored to within one
-/// shard, mirroring the cooperative per-loop-body deadline semantics.
-fn merge(
-    scenario: Scenario,
-    parts: Vec<ShardBuild>,
-    armed: &ArmedBudget,
-    symmetry_total: Option<u128>,
-) -> Result<(GeneratedSystem, usize, Option<BudgetHit>), EngineFault> {
-    let mut table = ViewTable::new();
-    let mut views = Vec::new();
-    let mut runs: Vec<RunRecord> = Vec::new();
-    let mut lookup = HashMap::new();
-    let mut orbit_sizes = Vec::new();
-    let mut merged = 0;
-    let mut hit = None;
-    for part in parts {
-        let remap = table.absorb(&part.table).map_err(EngineFault::Model)?;
-        views.extend(part.views.iter().map(|v| remap[v.index()]));
-        orbit_sizes.extend_from_slice(&part.orbit_sizes);
-        runs.reserve(part.runs.len());
-        for record in part.runs {
-            let id = RunId::try_new(runs.len()).map_err(EngineFault::Model)?;
-            let prior = lookup.insert((record.config.to_bits(), record.pattern.clone()), id);
-            debug_assert!(
-                prior.is_none(),
-                "exhaustive enumeration yielded a duplicate run"
-            );
-            runs.push(record);
-        }
-        merged += 1;
-        if let Err(view_hit) = armed.check_views(table.len() as u64) {
-            hit = Some(view_hit);
-            break;
-        }
-    }
-    let symmetry = symmetry_total.map(|total| Arc::new(SymmetryInfo::new(orbit_sizes, total)));
-    // `from_parts` finishes by building the columnar `PointStore` over the
-    // merged views, so even a budget-partial system carries its columns
-    // and CSR bucket partitions.
-    let system = GeneratedSystem::from_parts(scenario, runs, views, table, lookup, symmetry);
-    Ok((system, merged, hit))
-}
-
-/// The output of one extension block: the base table clone grown by the
-/// block's appended-round views, plus the block's runs, flattened view
-/// rows (mixing base ids and block-local ids, both valid in `table`),
-/// orbit sizes, and reuse accounting.
-struct ExtendBlock {
-    table: ViewTable,
-    views: Vec<ViewId>,
-    runs: Vec<RunRecord>,
-    orbit_sizes: Vec<u64>,
-    report: ExtendReport,
-}
-
-/// Everything [`merge_extend_parts`] folds the blocks into, ready for
-/// `GeneratedSystem::from_parts`.
-struct MergedExtend {
-    table: ViewTable,
-    views: Vec<ViewId>,
-    runs: Vec<RunRecord>,
-    lookup: HashMap<(u128, FailurePattern), RunId>,
-    orbit_sizes: Vec<u64>,
-    report: ExtendReport,
-}
-
-/// Runs the extension blocks through the supervised work-stealing pool.
-/// Blocks are pure functions of their index, so absorbed worker faults
-/// are transparent; a block that defeats all three supervision attempts
-/// panics with the fault's rendered message, mirroring
-/// [`SystemBuilder::build`].
-fn run_extend_pool<F>(count: usize, workers: usize, job: F) -> Vec<Result<ExtendBlock, ModelError>>
-where
-    F: Fn(usize) -> Result<ExtendBlock, ModelError> + Sync,
-{
-    match supervised_indexed(count, workers, FaultSite::BuilderShard, job) {
-        Ok((outcomes, _recovered)) => outcomes,
-        Err(EngineFault::Model(e)) => vec![Err(e)],
-        Err(fault @ EngineFault::WorkerPanicked { .. }) => panic!("{fault}"),
-    }
-}
-
-/// Simulates one contiguous slice of the extended pattern enumeration on
-/// top of a base table clone. Pure in its arguments — re-running it (the
-/// supervisor's retry and fallback) yields identical output.
-fn extend_block(
-    base: &GeneratedSystem,
-    delta: &HorizonDelta,
-    space: &ScenarioSpace,
-    configs: &[InitialConfig],
-    block: Shard,
-    symmetric: bool,
-) -> Result<ExtendBlock, ModelError> {
-    let scenario = space.scenario();
-    let horizon = scenario.horizon();
-    let n = scenario.n();
-    // `extension_delta` already enforced the exchange's extension policy
-    // (Scenario::extend_into), so dispatching here is sound.
-    let exchange = AnyExchange::for_scenario(&scenario);
-    let slots_per_run = (horizon.index() + 1) * n;
-    let mut part = ExtendBlock {
-        table: base.table().clone(),
-        views: Vec::new(),
-        runs: Vec::new(),
-        orbit_sizes: Vec::new(),
-        report: ExtendReport::default(),
-    };
-    for pattern in space.shard_patterns(block) {
         debug_assert!(scenario.validate_pattern(&pattern).is_ok());
         if symmetric {
             let canon = canonicalize(&pattern);
@@ -847,138 +788,130 @@ fn extend_block(
             }
             part.orbit_sizes.push(canon.orbit_size);
         }
-        let nonfaulty = pattern.nonfaulty_set();
-        let truncated = delta.truncate_pattern(&pattern);
+        let truncated = base.and_then(|(_, delta)| delta.truncate_pattern(&pattern));
         for config in configs {
-            let base_run = truncated
-                .as_ref()
-                .and_then(|trunc| base.find_run(config, trunc));
-            match base_run {
-                Some(r) => {
-                    let row = base.views_row(r);
-                    part.views.extend_from_slice(row);
-                    let mut prev = row[row.len() - n..].to_vec();
-                    for round in Round::upto(horizon) {
-                        if round.end() <= delta.base().horizon() {
-                            continue;
-                        }
-                        let now = exchange.try_step(&mut part.table, &pattern, round, &prev)?;
-                        part.views.extend_from_slice(&now);
-                        prev = now;
-                    }
-                    part.report.reused_runs += 1;
-                    part.report.reused_slots += row.len();
-                    part.report.computed_slots += slots_per_run - row.len();
-                }
-                None => {
-                    let run_views =
-                        try_exchange_views(&exchange, config, &pattern, horizon, &mut part.table)?;
-                    for time_views in &run_views {
-                        part.views.extend_from_slice(time_views);
-                    }
-                    part.report.fresh_runs += 1;
-                    part.report.computed_slots += slots_per_run;
-                }
-            }
-            part.runs.push(RunRecord {
-                config: config.clone(),
-                pattern: pattern.clone(),
-                nonfaulty,
-            });
+            let row = base
+                .zip(truncated.as_ref())
+                .and_then(|((base, _), trunc)| Some(base.views_row(base.find_run(config, trunc)?)));
+            part.push_run(
+                &exchange,
+                scenario.horizon(),
+                config.clone(),
+                pattern.clone(),
+                row,
+            )?;
         }
     }
     Ok(part)
 }
 
-/// Pads and extends one contiguous slice of the base run list on top of a
-/// base table clone. Pure in its arguments, like [`extend_block`].
-fn extend_pinned_block(
-    base: &GeneratedSystem,
-    delta: &HorizonDelta,
+/// The one merge: folds block outcomes in block order into a system.
+///
+/// The merged table starts as the first block's table — taken over, not
+/// re-interned — and absorbs each later block's table. A block table
+/// holds its views in first-encounter order (for an extension, after the
+/// base table it clones, whose ids absorption maps to themselves), so
+/// re-interning appends new views exactly where a sequential build would
+/// have interned them: block boundaries are invisible to the final
+/// `ViewId` numbering, whatever the thread/block count.
+///
+/// The first stopped block (in block order) ends the usable prefix: a
+/// model-level error there is the result, a budget stop is a graceful
+/// [`BudgetHit`]. The view bound is checked after each merged block; the
+/// block that crosses it is the last one included — bounds are honored
+/// to within one block, mirroring the cooperative per-loop-body deadline
+/// semantics. `symmetry`, when given, seeds the orbit accounting with
+/// carried-over orbit sizes (the blocks' own follow) and the raw pattern
+/// total. Returns the system, the number of blocks merged, the budget hit
+/// that stopped the merge (if any), and the summed reuse accounting.
+fn merge(
     scenario: Scenario,
-    bounds: std::ops::Range<usize>,
-) -> Result<ExtendBlock, ModelError> {
-    let horizon = scenario.horizon();
-    let n = scenario.n();
-    let exchange = AnyExchange::for_scenario(&scenario);
-    let slots_per_run = (horizon.index() + 1) * n;
-    let mut part = ExtendBlock {
-        table: base.table().clone(),
-        views: Vec::with_capacity(bounds.len() * slots_per_run),
-        runs: Vec::with_capacity(bounds.len()),
-        orbit_sizes: Vec::new(),
-        report: ExtendReport::default(),
-    };
-    for index in bounds {
-        let r = RunId::try_new(index)?;
-        let record = base.run(r);
-        let pattern = delta.pad_pattern(&record.pattern);
-        debug_assert!(scenario.validate_pattern(&pattern).is_ok());
-        let row = base.views_row(r);
-        part.views.extend_from_slice(row);
-        let mut prev = row[row.len() - n..].to_vec();
-        for round in Round::upto(horizon) {
-            if round.end() <= delta.base().horizon() {
-                continue;
+    outcomes: Vec<Result<Part, ShardError>>,
+    armed: &ArmedBudget,
+    symmetry: Option<(Vec<u64>, u128)>,
+) -> Result<(GeneratedSystem, usize, Option<BudgetHit>, ExtendReport), ModelError> {
+    let mut merged: Option<Part> = None;
+    let mut lookup = HashMap::new();
+    let mut count = 0;
+    let mut hit = None;
+    for outcome in outcomes {
+        let part = match outcome {
+            Ok(part) => part,
+            Err(ShardError::Model(e)) => return Err(e),
+            Err(ShardError::Budget(budget_hit)) => {
+                hit = Some(budget_hit);
+                break;
             }
-            let now = exchange.try_step(&mut part.table, &pattern, round, &prev)?;
-            part.views.extend_from_slice(&now);
-            prev = now;
+        };
+        let offset = merged.as_ref().map_or(0, |acc| acc.runs.len());
+        for (k, record) in part.runs.iter().enumerate() {
+            let id = RunId::try_new(offset + k)?;
+            let prior = lookup.insert((record.config.to_bits(), record.pattern.clone()), id);
+            debug_assert!(prior.is_none(), "blocks yielded a duplicate run");
         }
-        part.report.reused_runs += 1;
-        part.report.reused_slots += row.len();
-        part.report.computed_slots += slots_per_run - row.len();
-        part.runs.push(RunRecord {
-            config: record.config.clone(),
-            pattern,
-            nonfaulty: record.nonfaulty,
-        });
+        let acc = match &mut merged {
+            None => merged.insert(part),
+            Some(acc) => {
+                let remap = acc.table.absorb(&part.table)?;
+                acc.views
+                    .extend(part.views.iter().map(|v| remap[v.index()]));
+                acc.runs.extend(part.runs);
+                acc.orbit_sizes.extend(part.orbit_sizes);
+                acc.report.reused_runs += part.report.reused_runs;
+                acc.report.fresh_runs += part.report.fresh_runs;
+                acc.report.reused_slots += part.report.reused_slots;
+                acc.report.computed_slots += part.report.computed_slots;
+                acc
+            }
+        };
+        count += 1;
+        if let Err(view_hit) = armed.check_views(acc.table.len() as u64) {
+            hit = Some(view_hit);
+            break;
+        }
     }
-    Ok(part)
+    let part = merged.unwrap_or_else(|| Part::new(ViewTable::new()));
+    let symmetry = symmetry.map(|(mut orbit_sizes, total)| {
+        orbit_sizes.extend(part.orbit_sizes);
+        Arc::new(SymmetryInfo::new(orbit_sizes, total))
+    });
+    // `from_parts` finishes by building the columnar `PointStore` over the
+    // merged views, so even a budget-partial system carries its columns
+    // and CSR bucket partitions.
+    let system = GeneratedSystem::from_parts(
+        scenario, part.runs, part.views, part.table, lookup, symmetry,
+    );
+    Ok((system, count, hit, part.report))
 }
 
-/// Absorbs extension blocks in block order into a merged table that
-/// starts as a base clone. A block table is the base table plus the
-/// block's new views in first-encounter order, so re-interning maps
-/// every base id to itself and appends new views exactly where a
-/// sequential extension would have interned them: block boundaries are
-/// invisible to the final `ViewId` numbering, whatever the thread/block
-/// count. The first failed block (in block order) surfaces as the error,
-/// keeping error reporting schedule-independent too.
-fn merge_extend_parts(
-    base: &GeneratedSystem,
-    outcomes: Vec<Result<ExtendBlock, ModelError>>,
-) -> Result<MergedExtend, ModelError> {
-    let mut merged = MergedExtend {
-        table: base.table().clone(),
-        views: Vec::new(),
-        runs: Vec::new(),
-        lookup: HashMap::new(),
-        orbit_sizes: Vec::new(),
-        report: ExtendReport::default(),
-    };
-    for outcome in outcomes {
-        let part = outcome?;
-        let remap = merged.table.absorb(&part.table)?;
-        merged
-            .views
-            .extend(part.views.iter().map(|v| remap[v.index()]));
-        merged.orbit_sizes.extend_from_slice(&part.orbit_sizes);
-        merged.runs.reserve(part.runs.len());
-        for record in part.runs {
-            let id = RunId::try_new(merged.runs.len())?;
-            let prior = merged
-                .lookup
-                .insert((record.config.to_bits(), record.pattern.clone()), id);
-            debug_assert!(prior.is_none(), "extension blocks yielded a duplicate run");
-            merged.runs.push(record);
+/// The system of an explicit run list ([`GeneratedSystem::from_runs`]):
+/// one block of fresh runs, duplicates dropped, through the one merge.
+///
+/// # Panics
+///
+/// Panics if a pattern fails validation against the scenario or the view
+/// table overflows.
+pub(crate) fn system_of_runs(
+    scenario: &Scenario,
+    run_specs: Vec<(InitialConfig, FailurePattern)>,
+) -> GeneratedSystem {
+    let exchange = AnyExchange::for_scenario(scenario);
+    let mut seen = HashSet::new();
+    let mut part = Part::new(ViewTable::new());
+    for (config, pattern) in run_specs {
+        scenario
+            .validate_pattern(&pattern)
+            .expect("failure pattern invalid for the scenario");
+        if seen.insert((config.to_bits(), pattern.clone())) {
+            part.push_run(&exchange, scenario.horizon(), config, pattern, None)
+                .expect("view table overflow");
         }
-        merged.report.reused_runs += part.report.reused_runs;
-        merged.report.fresh_runs += part.report.fresh_runs;
-        merged.report.reused_slots += part.report.reused_slots;
-        merged.report.computed_slots += part.report.computed_slots;
     }
-    Ok(merged)
+    let unlimited = RunBudget::unlimited().arm();
+    match merge(*scenario, vec![Ok(part)], &unlimited, None) {
+        Ok((system, ..)) => system,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 #[cfg(test)]

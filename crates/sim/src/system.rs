@@ -1,7 +1,6 @@
 //! Generated systems: the set of runs of the full-information protocol.
 
-use crate::builder::{SystemBuilder, RUN_CAPACITY};
-use crate::exchange::{try_exchange_views, AnyExchange};
+use crate::builder::{self, SystemBuilder, RUN_CAPACITY};
 use crate::points::PointStore;
 use crate::symmetry::{self, SymmetryInfo};
 use crate::view::{ViewId, ViewTable};
@@ -144,43 +143,11 @@ impl GeneratedSystem {
     ///
     /// # Panics
     ///
-    /// Panics if a pattern fails validation against the scenario.
+    /// Panics if a pattern fails validation against the scenario, or if
+    /// the runs overflow the run or view id space.
     #[must_use]
     pub fn from_runs(scenario: &Scenario, run_specs: Vec<(InitialConfig, FailurePattern)>) -> Self {
-        let n = scenario.n();
-        let horizon = scenario.horizon();
-        let slots_per_run = (horizon.index() + 1) * n;
-        let exchange = AnyExchange::for_scenario(scenario);
-
-        let mut table = ViewTable::new();
-        let mut runs = Vec::new();
-        let mut views = Vec::with_capacity(run_specs.len() * slots_per_run);
-        let mut lookup = HashMap::new();
-
-        for (config, pattern) in run_specs {
-            scenario
-                .validate_pattern(&pattern)
-                .expect("failure pattern invalid for the scenario");
-            let key = (config.to_bits(), pattern.clone());
-            if lookup.contains_key(&key) {
-                continue;
-            }
-            let id = RunId::new(runs.len());
-            lookup.insert(key, id);
-            let run_views = try_exchange_views(&exchange, &config, &pattern, horizon, &mut table)
-                .expect("view table overflow");
-            for time_views in &run_views {
-                views.extend_from_slice(time_views);
-            }
-            let nonfaulty = pattern.nonfaulty_set();
-            runs.push(RunRecord {
-                config,
-                pattern,
-                nonfaulty,
-            });
-        }
-
-        Self::from_parts(*scenario, runs, views, table, lookup, None)
+        builder::system_of_runs(scenario, run_specs)
     }
 
     /// Assembles a system from parts the [`SystemBuilder`] has already
@@ -324,6 +291,22 @@ impl GeneratedSystem {
         &self.views[r.index() * slots_per_run..(r.index() + 1) * slots_per_run]
     }
 
+    /// A one-line description of the point `(run, time)`: the run's id,
+    /// configuration, failure pattern and nonfaulty set. This is the text
+    /// `eba-check` prints and `eba-serve` returns for counterexamples and
+    /// witnesses.
+    #[must_use]
+    pub fn describe_point(&self, run: RunId, time: Time) -> String {
+        let record = self.run(run);
+        format!(
+            "run {} at {time}: config {} under [{}] (nonfaulty {})",
+            run.index(),
+            record.config,
+            record.pattern,
+            record.nonfaulty,
+        )
+    }
+
     /// The view table holding all interned views.
     #[must_use]
     pub fn table(&self) -> &ViewTable {
@@ -426,6 +409,46 @@ mod tests {
             vec![(config.clone(), pattern.clone()), (config, pattern)],
         );
         assert_eq!(system.num_runs(), 1);
+    }
+
+    #[test]
+    fn empty_partial_base_extends_pinned_to_an_empty_system() {
+        use eba_model::{RunBudget, ScenarioSpace};
+        let scenario = Scenario::new(3, 1, FailureMode::Omission, 1).unwrap();
+        let extended_scenario = scenario.with_horizon(3).unwrap();
+        for symmetric in [false, true] {
+            let base = SystemBuilder::new(&scenario)
+                .threads(2)
+                .symmetry(symmetric)
+                .budget(RunBudget::unlimited().with_max_runs(0))
+                .build_governed()
+                .unwrap()
+                .into_system();
+            assert_eq!(base.num_runs(), 0);
+            // No runs means no blocks: the merge folds zero parts.
+            let (extended, report) = SystemBuilder::new(&extended_scenario)
+                .threads(2)
+                .extend_pinned(&base)
+                .unwrap();
+            assert_eq!(extended.horizon(), extended_scenario.horizon());
+            assert_eq!(extended.num_runs(), 0);
+            assert_eq!(extended.table().len(), 0);
+            assert_eq!(extended.points().num_points(), 0);
+            assert_eq!(report, crate::ExtendReport::default());
+            match (base.symmetry(), extended.symmetry()) {
+                (None, None) => assert!(!symmetric),
+                (Some(before), Some(after)) => {
+                    assert!(symmetric);
+                    assert_eq!(after.orbit_sizes(), before.orbit_sizes());
+                    assert_eq!(after.raw_patterns_covered(), 0);
+                    assert_eq!(
+                        after.raw_pattern_total(),
+                        ScenarioSpace::new(extended_scenario).num_patterns()
+                    );
+                }
+                _ => panic!("symmetry accounting must carry over"),
+            }
+        }
     }
 
     #[test]

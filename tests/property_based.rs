@@ -218,6 +218,124 @@ proptest! {
     }
 }
 
+/// Formula-syntax fragments for the parser fuzz: every token of the ASCII
+/// and unicode grammars, partial tokens, and whitespace.
+const FORMULA_FRAGMENTS: &[&str] = &[
+    "(",
+    ")",
+    "!",
+    "¬",
+    "&",
+    "|",
+    "∧",
+    "∨",
+    "->",
+    "<->",
+    "<",
+    "-",
+    ">",
+    "E0",
+    "E1",
+    "∃0",
+    "∃1",
+    "true",
+    "false",
+    "⊤",
+    "⊥",
+    "init(",
+    ")=",
+    "=",
+    "0",
+    "1",
+    "3",
+    "129",
+    "99999999999999999999",
+    "N(",
+    "p",
+    "p2",
+    "∈N",
+    "K_",
+    "B_",
+    "B^N_",
+    "B^All_",
+    "CC",
+    "C",
+    "C□_N",
+    "C_N",
+    "C_All",
+    "E",
+    "E_N",
+    "E_All",
+    "D",
+    "D_All",
+    "SK",
+    "S_All",
+    "G",
+    "F",
+    "A",
+    "S",
+    "□",
+    "◇",
+    "\u{304}",
+    " ",
+    "\t",
+];
+
+/// A string of `len` seeded draws: a fragment, or a raw byte (decoded
+/// lossily, as a frame read off the wire would be).
+fn formula_fuzz(seed: u64, len: usize) -> String {
+    let mut bytes = Vec::new();
+    let mut x = seed;
+    for _ in 0..len {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        match (z % (FORMULA_FRAGMENTS.len() as u64 + 8)) as usize {
+            i if i < FORMULA_FRAGMENTS.len() => {
+                bytes.extend_from_slice(FORMULA_FRAGMENTS[i].as_bytes())
+            }
+            _ => bytes.push((z >> 32) as u8),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// No byte string panics the formula parser: it returns a formula or
+    /// a typed `ParseError`.
+    #[test]
+    fn arbitrary_strings_parse_or_fail_without_panicking(
+        seed in proptest::num::u64::ANY,
+        len in 0usize..64,
+    ) {
+        let input = formula_fuzz(seed, len);
+        if let Err(e) = eba_kripke::parse::parse_formula(&input) {
+            prop_assert!(e.offset <= input.len(), "{:?}: {}", input, e);
+        }
+    }
+}
+
+/// The two inputs that crashed the parser before it bounded nesting and
+/// size: a negation chain that overflowed the stack and a `<->` chain
+/// that expanded exponentially. Both fail typed, and promptly.
+#[test]
+fn formula_bombs_fail_typed() {
+    use eba_kripke::parse::parse_formula;
+    let start = std::time::Instant::now();
+    for depth in [20_000, 100_000] {
+        let bomb = format!("{}E0", "!".repeat(depth));
+        assert!(parse_formula(&bomb).is_err(), "{depth} negations");
+    }
+    for links in [20, 30] {
+        let bomb = vec!["E0"; links + 1].join(" <-> ");
+        assert!(parse_formula(&bomb).is_err(), "{links} links");
+    }
+    assert!(start.elapsed() < std::time::Duration::from_secs(10));
+}
+
 /// Random *nontrivial agreement* protocols: per-processor delayed
 /// variants of the crash rule (delaying any sound rule preserves weak
 /// agreement and weak validity). The two-step construction must turn
